@@ -179,6 +179,11 @@ class ServiceAPI:
         self.enable_profiler = enable_profiler
         self._server: asyncio.AbstractServer | None = None
         self._in_flight = runner.metrics.gauge("service_requests_in_flight")
+        # Open connections' handler tasks, and the writers whose
+        # handler is waiting for the next request (idle).
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -190,10 +195,23 @@ class ServiceAPI:
         )
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening, then close every keep-alive connection.
+
+        Idle connections are closed at once, so their handlers see a
+        clean EOF instead of being cancelled at loop teardown; a busy
+        one finishes its in-flight request, answers it with
+        ``Connection: close``, and exits.
+        """
+        if self._server is None:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in list(self._idle):
+            writer.close()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._server.wait_closed()
+        self._server = None
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -204,8 +222,11 @@ class ServiceAPI:
     # -- connection handling -----------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     request = await self._read_request(reader)
                 except _HTTPError as error:
@@ -216,15 +237,17 @@ class ServiceAPI:
                     self._write_response(writer, *response, keep_alive=False)
                     await writer.drain()
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
                 method, path, query, headers, body = request
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
                 status, payload, content_type, extra = await self._process(
                     method, path, query, headers, body
+                )
+                keep_alive = not self._closing and (
+                    headers.get("connection", "keep-alive").lower()
+                    != "close"
                 )
                 self._write_response(
                     writer, status, payload, content_type, extra,
@@ -240,6 +263,7 @@ class ServiceAPI:
         ):
             pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

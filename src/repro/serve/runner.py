@@ -10,10 +10,10 @@ processes:
   than remapped, because its state lives in its journal and moving the
   keys would strand it.  Respawn + replay + rejoin restores the same
   placement with the same state.
-* **replication** (``replication > 1``) — every accepted observation
-  fans out to all live replicas in its chain, each copy carrying a
-  sequence number from the *destination* shard's stream (workers mask
-  seqs at or below their journal high-water, so re-sends are
+* **one write path** — every accepted observation fans out to all
+  live shards of its chain (a chain of one at R=1), each copy carrying
+  a sequence number from the *destination* shard's stream (workers
+  mask seqs at or below their journal high-water, so re-sends are
   idempotent).  Copies owed to a dead replica park as **hinted
   handoff** in the first live replica of the chain; a respawned shard
   replays its journal, then anti-entropy syncs the hints (final round
@@ -103,9 +103,9 @@ class ServiceConfig:
         journal_dir: directory holding one write-ahead journal per
             shard (``shard-NN.journal``) plus the final manifest.
         n_shards: shard worker processes.
-        replication: replicas per block (``lookup_chain`` width).  1 is
-            the classic single-owner service; R > 1 fans every write to
-            R distinct shards, keeps serving through R−1 failures, and
+        replication: replicas per block (``lookup_chain`` width).  Every
+            write fans out to the R distinct shards of its chain (one
+            owner at R=1); R > 1 keeps serving through R−1 failures and
             catches dead replicas up via hinted handoff on rejoin.
         hint_capacity: hinted observations one surviving shard will
             hold for dead peers before marking them stale (explicit
@@ -362,11 +362,11 @@ class ServiceRunner:
         self._thread: threading.Thread | None = None
         self._running = False
         self.drain_report: dict | None = None
-        # Replication state (all no-ops at replication=1).  The ingest
-        # lock serializes seq assignment *and* dispatch, so every
-        # shard sees every destination stream in assignment order; the
-        # rejoin sync takes the same lock for its final hint round, so
-        # a healing shard can never miss a concurrent write.
+        # Write-path state.  The ingest lock serializes seq assignment
+        # *and* dispatch, so every shard sees every destination stream
+        # in assignment order; the rejoin sync takes the same lock for
+        # its final hint round, so a healing shard can never miss a
+        # concurrent write.
         self._ingest_lock = threading.Lock()
         self._next_seq: dict[int, int] = {}
         # block id -> replica chain; the ring is fixed at start, so the
@@ -430,14 +430,13 @@ class ServiceRunner:
                 n_replayed=info["n_replayed"],
                 truncated_bytes=info["truncated_bytes"],
             )
-        if self.config.replication > 1:
-            # Fan-out RPCs block on journal write-ahead + admission per
-            # replica; dispatching them in parallel keeps the R-way
-            # ingest cost near the slowest replica, not the sum.
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.n_shards,
-                thread_name_prefix="service-fanout",
-            )
+        # Ingest RPCs block on journal write-ahead + admission per
+        # destination; dispatching them in parallel keeps a write's
+        # cost near its slowest destination, not the sum.
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.config.n_shards,
+            thread_name_prefix="service-fanout",
+        )
         self._m.shards.set(self.config.n_shards)
         self._m.unhealthy.set(0)
         self._running = True
@@ -481,9 +480,12 @@ class ServiceRunner:
                 slot.healthy = False
                 if slot.client is not None:
                     slot.client.stop()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._ingest_lock:
+            # Every slot is down now, so a write that takes the lock
+            # after this plans no sends and never touches the pool.
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
         self._m.shards.set(0)
         self._running = False
         self.events.info("service.stopped", drained=drain)
@@ -492,15 +494,12 @@ class ServiceRunner:
     def drain(self) -> dict:
         """Drain every healthy shard; write the final manifest.
 
-        Under replication the hint queues flush *first* — forwarded
-        through the normal ingest path when the owed shard is alive,
-        appended straight into its journal file when it is dead — so
-        the final manifest never strands an acked observation copy in
-        a worker's memory.
+        The hint queues flush *first* — forwarded through the normal
+        ingest path when the owed shard is alive, appended straight
+        into its journal file when it is dead — so the final manifest
+        never strands an acked observation copy in a worker's memory.
         """
-        hints_flushed: dict[int, int] = {}
-        if self.config.replication > 1:
-            hints_flushed = self._flush_all_hints()
+        hints_flushed = self._flush_all_hints()
         shards: dict[int, dict] = {}
         for slot in self._slots:
             with slot.lock:
@@ -562,7 +561,7 @@ class ServiceRunner:
 
     def owner(self, block_id: int) -> int:
         """The shard id the ring assigns this block (chain entry 0)."""
-        return self.ring.lookup(int(block_id))
+        return self._chain(int(block_id))[0]
 
     def owners(self, block_id: int) -> tuple[int, ...]:
         """The block's replica chain: ``replication`` distinct shards."""
@@ -578,52 +577,39 @@ class ServiceRunner:
         return chain
 
     def ingest(self, observations, parent_context=None) -> dict:
-        """Route ``(block_id, time_s, value)`` triples to their shards.
+        """Route ``(block_id, time_s, value)`` triples to their replicas.
 
-        Returns an admission report: per-shard accepted counts, plus
-        ``backpressure``/``down``/``degraded`` flags when any
-        observation was rejected or landed on fewer than R replicas.
-        A shard whose admission queue asserted backpressure on a
-        previous batch rejects whole batches (the HTTP layer turns
-        that into 429 + Retry-After) until its queue drains below the
-        low watermark; an observation whose *entire* replica chain is
-        down rejects with 503 semantics.  Within a shard, arrival
-        order is preserved.
+        Every write takes one path: each observation goes to every live
+        shard of its replica chain (one shard at R=1), each copy
+        carrying a seq from its destination shard's stream.  Three
+        outcomes, all explicit in the report: *accepted* (at least one
+        live replica acked the copy; missing replicas are hinted and
+        the write counts as ``degraded`` when fewer than R acked),
+        *backpressure* (some live replica of the chain is paused — the
+        whole observation is rejected so replicas never diverge; the
+        HTTP layer answers 429 + Retry-After until the queue drains
+        below its low watermark), and *shard_down* (no live replica
+        acked it — 503 semantics).  Within a shard, arrival order is
+        preserved.
 
         ``parent_context`` (a :class:`~repro.obs.tracing.TraceContext`,
         normally the HTTP layer's ``http.request`` span) parents a
-        ``route`` span covering the fan-out, with one ``shard.rpc``
-        child per shard whose context rides the ingest RPC — the shard
-        worker's ``engine.ingest`` span comes home via telemetry delta
-        and grafts into the same trace.
+        ``route`` span covering the whole call, with one ``shard.rpc``
+        child per destination whose context rides the ingest RPC — the
+        shard worker's ``engine.ingest`` span comes home via telemetry
+        delta and grafts into the same trace.
         """
-        obs = list(observations)
-        if self.config.replication > 1:
-            with self._ingest_lock:
-                return self._ingest_replicated(obs, parent_context)
-        by_shard: dict[int, list] = {}
-        for triple in obs:
-            by_shard.setdefault(self.owner(triple[0]), []).append(triple)
-        report = {
-            "accepted": 0,
-            "rejected": 0,
-            "backpressure": False,
-            "down": False,
-            "degraded": False,
-            "shards": {},
-        }
         route_span = self.tracer.begin(
             "route", parent_context=parent_context,
-            n_obs=len(obs), n_shards=len(by_shard),
+            replication=self.config.replication,
         )
-        for shard_id in sorted(by_shard):
-            batch = by_shard[shard_id]
-            shard_report = self._ingest_shard(shard_id, batch, route_span)
-            report["accepted"] += shard_report["accepted"]
-            report["rejected"] += shard_report["rejected"]
-            report["backpressure"] |= shard_report["reason"] == "backpressure"
-            report["down"] |= shard_report["reason"] == "shard_down"
-            report["shards"][shard_id] = shard_report
+        obs = list(observations)
+        with self._ingest_lock:
+            report = self._ingest_chains(obs, route_span)
+        if route_span is not None:
+            route_span.attrs.update(
+                n_obs=len(obs), n_shards=len(report["shards"])
+            )
         self.tracer.end(route_span)
         if route_span is not None:
             self.events.info(
@@ -634,101 +620,13 @@ class ServiceRunner:
                 n_obs=len(obs),
                 accepted=report["accepted"],
                 rejected=report["rejected"],
+                hinted=report["hinted"],
             )
         return report
 
-    def _ingest_shard(
-        self, shard_id: int, batch: list, route_span=None
-    ) -> dict:
-        slot = self._slots[shard_id]
-        n = len(batch)
-        if not slot.healthy:
-            self._m.rejected_down.inc(n)
-            return {"accepted": 0, "rejected": n, "reason": "shard_down"}
-        if slot.paused:
-            # Honor the shard's standing backpressure signal without
-            # another round trip; the supervision cycle (and the next
-            # accepted batch) refresh it when the queue drains.
-            self._refresh_paused(slot)
-            if slot.paused:
-                self._m.rejected_bp.inc(n)
-                return {
-                    "accepted": 0, "rejected": n, "reason": "backpressure"
-                }
-        ids = np.fromiter((t[0] for t in batch), dtype=np.int64, count=n)
-        times = np.fromiter((t[1] for t in batch), dtype=np.float64, count=n)
-        values = np.fromiter((t[2] for t in batch), dtype=np.float64, count=n)
-        rpc_span = self.tracer.begin(
-            "shard.rpc", parent=route_span, shard_id=shard_id, n=n
-        )
-        rpc_ctx = rpc_span.context.to_dict() if rpc_span is not None else None
-        accepted = 0
-        ack: dict | None = None
-        try:
-            with slot.lock:
-                if not slot.healthy or slot.client is None:
-                    raise ShardDownError(f"shard {shard_id} is down")
-                for start in range(0, n, self.config.max_batch):
-                    end = start + self.config.max_batch
-                    ack = slot.client.ingest(
-                        ids[start:end], times[start:end], values[start:end],
-                        trace_context=rpc_ctx,
-                    )
-                    accepted += ack["accepted"]
-        except (ShardDownError, ShardTimeoutError):
-            slot.healthy = False
-            self.tracer.end(rpc_span, parent=route_span)
-            self._m.ingested.inc(accepted)
-            self._m.rejected_down.inc(n - accepted)
-            return {
-                "accepted": accepted,
-                "rejected": n - accepted,
-                "reason": "shard_down",
-            }
-        self.tracer.end(rpc_span, parent=route_span)
-        if rpc_span is not None:
-            self.events.info(
-                "service.shard_rpc",
-                trace_id=rpc_span.trace_id,
-                span_id=rpc_span.span_id,
-                parent_span_id=rpc_span.parent_span_id,
-                shard_id=shard_id,
-                n=n,
-                accepted=accepted,
-            )
-        slot.paused = bool(ack["paused"]) if ack is not None else False
-        self._m.ingested.inc(accepted)
-        return {
-            "accepted": accepted,
-            "rejected": 0,
-            "reason": None,
-            "depth": ack["depth"] if ack is not None else 0,
-            "paused": slot.paused,
-        }
-
-    def _refresh_paused(self, slot: _Slot) -> None:
-        try:
-            with slot.lock:
-                if not slot.healthy or slot.client is None:
-                    return
-                stats = slot.client.stats()
-            slot.paused = bool(stats["paused"])
-        except (ShardDownError, ShardTimeoutError):
-            slot.healthy = False
-
-    # -- replicated ingest (called under _ingest_lock) ---------------------
-
-    def _ingest_replicated(self, obs: list, parent_context=None) -> dict:
-        """R-way fan-out: plan seqs, dispatch in parallel, hint the dead.
-
-        Three write outcomes, all explicit: *accepted* (at least one
-        live replica acked the copy; missing replicas are hinted and
-        the write counts as *degraded* when fewer than R acked),
-        *backpressure* (some live replica of the chain is paused — the
-        whole observation is rejected so replicas never diverge), and
-        *shard_down* (every replica of the chain is dead).
-        """
-        R = self.config.replication
+    def _ingest_chains(self, obs: list, route_span) -> dict:
+        """Plan seqs, fan out, resolve, hint (under ``_ingest_lock``)."""
+        n = len(obs)
         report = {
             "accepted": 0,
             "rejected": 0,
@@ -745,158 +643,158 @@ class ServiceRunner:
                 sid, {"accepted": 0, "rejected": 0, "reason": None}
             )
 
-        # Plan: one pass in arrival order, assigning each copy a seq
-        # from its destination shard's stream (dead destinations
-        # included — their copies become hints carrying the seq the
-        # journal will expect).
-        sends: dict[int, dict] = {}
-        pending_hints: list[tuple] = []  # (target, seq, b, t, v, chain)
-        positions: list[list[tuple[int, int]] | None] = [None] * len(obs)
+        # Plan: one pass in arrival order, listing each observation
+        # under every member of its chain.  Health is read once, so a
+        # shard's copies are all sends or all hints; a chain's verdict
+        # is decided once per call.
+        live = [slot.healthy for slot in self._slots]
+        verdicts: dict[tuple[int, ...], tuple[str, int] | None] = {}
         paused_checked: set[int] = set()
+        copies: dict[int, list[int]] = {}
+        unplanned: list[int] = []
+        chain_of = self._chain
+        n_bp = 0
         for i, triple in enumerate(obs):
-            block_id = int(triple[0])
-            chain = self._chain(block_id)
-            live = [s for s in chain if self._slots[s].healthy]
-            if not live:
-                report["rejected"] += 1
-                report["down"] = True
-                entry = shard_entry(chain[0])
-                entry["rejected"] += 1
-                entry["reason"] = "shard_down"
-                self._m.rejected_down.inc()
+            chain = chain_of(int(triple[0]))
+            if chain not in verdicts:
+                verdicts[chain] = self._chain_verdict(
+                    chain, live, paused_checked
+                )
+            verdict = verdicts[chain]
+            if verdict is None:
+                for sid in chain:
+                    copies.setdefault(sid, []).append(i)
                 continue
-            blocker = None
-            for sid in live:
-                slot = self._slots[sid]
-                if slot.paused and sid not in paused_checked:
-                    self._refresh_paused(slot)
-                    paused_checked.add(sid)
-                if slot.paused:
-                    blocker = sid
-                    break
-            if blocker is not None:
+            reason, sid = verdict
+            unplanned.append(i)
+            n_bp += reason == "backpressure"
+            entry = shard_entry(sid)
+            entry["rejected"] += 1
+            entry["reason"] = reason
+        n_down = len(unplanned) - n_bp
+
+        # Seqs: a shard's copies are consecutive in its destination
+        # stream, dead destinations included — their copies become
+        # hints carrying the seq the journal will expect.
+        plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for sid, idx in copies.items():
+            first = self._next_seq[sid]
+            self._next_seq[sid] = first + len(idx)
+            plans[sid] = (
+                np.asarray(idx, dtype=np.intp),
+                np.arange(first, first + len(idx), dtype=np.int64),
+            )
+        ids = np.fromiter((t[0] for t in obs), dtype=np.int64, count=n)
+        times = np.fromiter((t[1] for t in obs), dtype=np.float64, count=n)
+        values = np.fromiter((t[2] for t in obs), dtype=np.float64, count=n)
+        sends = {sid: plan for sid, plan in plans.items() if live[sid]}
+        results = self._dispatch(sends, ids, times, values, route_span)
+
+        # Resolve per observation: accepted iff at least one live copy
+        # was acked; degraded when fewer than R were.
+        n_ok = np.zeros(n, dtype=np.int64)
+        for sid, res in results.items():
+            n_ok[sends[sid][0][: res["acked"]]] += 1
+        planned = np.ones(n, dtype=bool)
+        planned[unplanned] = False
+        accepted = planned & (n_ok > 0)
+        n_accepted = int(accepted.sum())
+        n_degraded = int((accepted & (n_ok < self.config.replication)).sum())
+        n_down += n - len(unplanned) - n_accepted
+        report["accepted"] = n_accepted
+        report["rejected"] = n - n_accepted
+        report["backpressure"] = n_bp > 0
+        report["down"] = n_down > 0
+        report["degraded"] = n_degraded > 0
+        self._m.ingested.inc(n_accepted)
+        self._m.degraded.inc(n_degraded)
+        self._m.rejected_bp.inc(n_bp)
+        self._m.rejected_down.inc(n_down)
+
+        # Owed copies: the whole plan of a dead destination, and the
+        # un-acked tail of a batch whose replica died mid-dispatch (the
+        # worker may have journaled a prefix of it — the seq mask on
+        # replay/forward makes the overlap idempotent).  Only copies of
+        # accepted observations are owed: a 503 is owed to no one.
+        owed: list[tuple[int, np.ndarray, np.ndarray]] = []
+        for sid, (idx, seqs) in plans.items():
+            res = results.get(sid)
+            if res is not None and not res["failed"]:
+                entry = shard_entry(sid)
+                entry["accepted"] += res["acked"]
+                entry["depth"] = res["depth"]
+                entry["paused"] = res["paused"]
+                continue
+            acked = 0
+            if res is not None:
+                acked = res["acked"]
+                entry = shard_entry(sid)
+                entry["accepted"] += acked
+                entry["rejected"] += len(idx) - acked
+                entry["reason"] = "shard_down"
+            keep = accepted[idx[acked:]]
+            if keep.any():
+                owed.append((sid, idx[acked:][keep], seqs[acked:][keep]))
+        report["hinted"] = self._store_hints(owed, ids, times, values)
+        return report
+
+    def _chain_verdict(
+        self, chain: tuple[int, ...], live: list[bool], paused_checked: set
+    ) -> tuple[str, int] | None:
+        """``None`` when ``chain`` can take a write, else the rejection
+        reason and the shard it is booked against."""
+        members = [sid for sid in chain if live[sid]]
+        if not members:
+            return "shard_down", chain[0]
+        for sid in members:
+            slot = self._slots[sid]
+            if slot.paused and sid not in paused_checked:
+                # Honor the shard's standing backpressure signal with
+                # one stats round trip per call; the supervision cycle
+                # and the next accepted batch refresh it too.
+                self._refresh_paused(slot)
+                paused_checked.add(sid)
+            if slot.paused:
                 # Rejecting the whole observation (not just the paused
                 # replica's copy) keeps live replicas bit-identical;
                 # hinting *through* backpressure would let a client
                 # outrun the admission contract via dead shards.
-                report["rejected"] += 1
-                report["backpressure"] = True
-                entry = shard_entry(blocker)
-                entry["rejected"] += 1
-                entry["reason"] = "backpressure"
-                self._m.rejected_bp.inc()
-                continue
-            time_s = float(triple[1])
-            value = float(triple[2])
-            pos_list: list[tuple[int, int]] = []
-            for sid in chain:
-                seq = self._next_seq[sid]
-                self._next_seq[sid] = seq + 1
-                if sid in live:
-                    batch = sends.setdefault(
-                        sid,
-                        {"idx": [], "seqs": [], "ids": [],
-                         "times": [], "vals": []},
-                    )
-                    pos_list.append((sid, len(batch["seqs"])))
-                    batch["idx"].append(i)
-                    batch["seqs"].append(seq)
-                    batch["ids"].append(block_id)
-                    batch["times"].append(time_s)
-                    batch["vals"].append(value)
-                else:
-                    pending_hints.append(
-                        (sid, seq, block_id, time_s, value, chain)
-                    )
-            positions[i] = pos_list
+                return "backpressure", sid
+        return None
 
-        route_span = self.tracer.begin(
-            "route", parent_context=parent_context,
-            n_obs=len(obs), n_shards=len(sends), replication=R,
-        )
-        results: dict[int, dict] = {}
-        if len(sends) > 1 and self._pool is not None:
-            futures = {
-                sid: self._pool.submit(
-                    self._send_replica_batch, sid, batch, route_span
-                )
-                for sid, batch in sends.items()
-            }
-            results = {sid: f.result() for sid, f in futures.items()}
-        else:
-            results = {
-                sid: self._send_replica_batch(sid, batch, route_span)
-                for sid, batch in sends.items()
-            }
+    def _refresh_paused(self, slot: _Slot) -> None:
+        try:
+            with slot.lock:
+                if not slot.healthy or slot.client is None:
+                    return
+                stats = slot.client.stats()
+            slot.paused = bool(stats["paused"])
+        except (ShardDownError, ShardTimeoutError):
+            slot.healthy = False
 
-        # Per-observation resolution: accepted iff at least one live
-        # copy was acked; degraded when fewer than R copies were.
-        for i, pos_list in enumerate(positions):
-            if pos_list is None:
-                continue
-            n_ok = sum(
-                1 for sid, pos in pos_list if results[sid]["acked"] > pos
-            )
-            if n_ok > 0:
-                report["accepted"] += 1
-                self._m.ingested.inc()
-                if n_ok < R:
-                    report["degraded"] = True
-                    self._m.degraded.inc()
-            else:
-                report["rejected"] += 1
-                report["down"] = True
-                self._m.rejected_down.inc()
+    def _dispatch(self, sends: dict, ids, times, values, route_span) -> dict:
+        """Fan the planned batches out: the first destination's RPCs
+        run in the calling thread, the rest on the pool, so a write
+        costs about its slowest destination rather than the sum."""
+        jobs = [
+            (sid, ids[idx], times[idx], values[idx], seqs, route_span)
+            for sid, (idx, seqs) in sends.items()
+        ]
+        if not jobs:
+            return {}
+        futures = [(job[0], self._pool.submit(self._send, *job))
+                   for job in jobs[1:]]
+        results = {jobs[0][0]: self._send(*jobs[0])}
+        for sid, future in futures:
+            results[sid] = future.result()
+        return results
 
-        # Retro-hints: the un-acked tail of a batch whose replica died
-        # mid-dispatch.  The worker may have journaled a prefix of it
-        # before dying — the seq mask on replay/forward makes the
-        # overlap idempotent, so hinting the whole tail is safe.
-        for sid, res in results.items():
-            batch = sends[sid]
-            n = len(batch["seqs"])
-            entry = shard_entry(sid)
-            entry["accepted"] += res["acked"]
-            if res["failed"]:
-                entry["rejected"] += n - res["acked"]
-                entry["reason"] = "shard_down"
-                chain_of = self._chain
-                for k in range(res["acked"], n):
-                    pending_hints.append(
-                        (sid, batch["seqs"][k], batch["ids"][k],
-                         batch["times"][k], batch["vals"][k],
-                         chain_of(batch["ids"][k]))
-                    )
-            else:
-                entry["depth"] = res["depth"]
-                entry["paused"] = res["paused"]
-
-        report["hinted"] = self._store_hints(pending_hints)
-
-        self.tracer.end(route_span)
-        if route_span is not None:
-            self.events.info(
-                "service.route",
-                trace_id=route_span.trace_id,
-                span_id=route_span.span_id,
-                parent_span_id=route_span.parent_span_id,
-                n_obs=len(obs),
-                accepted=report["accepted"],
-                rejected=report["rejected"],
-                hinted=report["hinted"],
-            )
-        return report
-
-    def _send_replica_batch(
-        self, shard_id: int, batch: dict, route_span=None
+    def _send(
+        self, shard_id: int, ids, times, values, seqs, route_span=None
     ) -> dict:
-        """One replica's ingest RPCs (runs on the fan-out pool)."""
+        """One destination's ingest RPCs under a ``shard.rpc`` span."""
         slot = self._slots[shard_id]
-        n = len(batch["seqs"])
-        ids = np.asarray(batch["ids"], dtype=np.int64)
-        times = np.asarray(batch["times"], dtype=np.float64)
-        values = np.asarray(batch["vals"], dtype=np.float64)
-        seqs = np.asarray(batch["seqs"], dtype=np.int64)
+        n = len(seqs)
         rpc_span = self.tracer.begin(
             "shard.rpc", parent=route_span, shard_id=shard_id, n=n
         )
@@ -908,13 +806,10 @@ class ServiceRunner:
             with slot.lock:
                 if not slot.healthy or slot.client is None:
                     raise ShardDownError(f"shard {shard_id} is down")
-                for start in range(0, n, self.config.max_batch):
-                    end = min(start + self.config.max_batch, n)
-                    ack = slot.client.ingest(
-                        ids[start:end], times[start:end], values[start:end],
-                        seqs=seqs[start:end], trace_context=rpc_ctx,
-                    )
-                    acked += end - start
+                for acked, ack in self._ingest_chunks(
+                    slot.client, ids, times, values, seqs, rpc_ctx
+                ):
+                    pass
         except (ShardDownError, ShardTimeoutError):
             slot.healthy = False
             failed = True
@@ -938,29 +833,48 @@ class ServiceRunner:
             "paused": slot.paused,
         }
 
-    def _store_hints(self, pending: list[tuple]) -> int:
+    def _ingest_chunks(
+        self, client: ShardClient, ids, times, values, seqs,
+        trace_context=None,
+    ):
+        """Ship one destination's batch as ``max_batch``-sized ingest
+        RPCs, yielding ``(n_acked, ack)`` after each — a caller that
+        loses the shard mid-batch still knows the acked prefix."""
+        n = len(seqs)
+        for start in range(0, n, self.config.max_batch):
+            end = min(start + self.config.max_batch, n)
+            ack = client.ingest(
+                ids[start:end], times[start:end], values[start:end],
+                seqs=seqs[start:end], trace_context=trace_context,
+            )
+            yield end, ack
+
+    def _store_hints(self, owed: list, ids, times, values) -> int:
         """Park copies owed to dead replicas at their chain's first
         live shard; a copy with no live holder is *dropped* and its
         target marked stale (never silently lost)."""
-        if not pending:
+        if not owed:
             return 0
-        batches: dict[tuple[int, int], list] = {}
-        for target, seq, block_id, time_s, value, chain in pending:
-            holder = next(
-                (s for s in chain
-                 if s != target and self._slots[s].healthy),
-                None,
-            )
-            if holder is None:
-                self._m.hints_dropped.inc()
-                self._slots[target].stale = True
-                continue
-            batches.setdefault((holder, target), []).append(
-                (seq, block_id, time_s, value)
-            )
+        # (holder, target) -> (observation rows, seqs), in seq order.
+        batches: dict[tuple[int, int], tuple[list, list]] = {}
+        for target, idx, seqs in owed:
+            for i, seq in zip(idx.tolist(), seqs.tolist()):
+                holder = next(
+                    (s for s in self._chain(int(ids[i]))
+                     if s != target and self._slots[s].healthy),
+                    None,
+                )
+                if holder is None:
+                    self._m.hints_dropped.inc()
+                    self._slots[target].stale = True
+                    continue
+                rows, hint_seqs = batches.setdefault(
+                    (holder, target), ([], [])
+                )
+                rows.append(i)
+                hint_seqs.append(seq)
         stored_total = 0
-        for (holder_id, target), entries in sorted(batches.items()):
-            entries.sort()
+        for (holder_id, target), (rows, hint_seqs) in sorted(batches.items()):
             holder = self._slots[holder_id]
             try:
                 with holder.lock:
@@ -968,14 +882,14 @@ class ServiceRunner:
                         raise ShardDownError(f"shard {holder_id} is down")
                     res = holder.client.store_hints(
                         target,
-                        [e[1] for e in entries],
-                        [e[2] for e in entries],
-                        [e[3] for e in entries],
-                        [e[0] for e in entries],
+                        ids[rows].tolist(),
+                        times[rows].tolist(),
+                        values[rows].tolist(),
+                        hint_seqs,
                     )
             except (ShardDownError, ShardTimeoutError):
                 holder.healthy = False
-                self._m.hints_dropped.inc(len(entries))
+                self._m.hints_dropped.inc(len(rows))
                 self._slots[target].stale = True
                 continue
             stored_total += res["stored"]
@@ -1340,8 +1254,19 @@ class ServiceRunner:
         return {"replayed": replayed, "rounds": rounds}
 
     def _forward_hints(self, target: int, client: ShardClient) -> int:
-        """One sync round: peek every holder, merge by seq, forward,
-        then ack (destructive only after the forward succeeded)."""
+        """One sync round: forward up to ``max_batch`` hints per holder
+        through the normal (seq-masked) ingest RPC."""
+
+        def forward(ids, times, values, seqs) -> None:
+            for _ in self._ingest_chunks(client, ids, times, values, seqs):
+                pass
+
+        return self._move_hints(target, self.config.max_batch, forward)
+
+    def _move_hints(self, target: int, max_n: int, deliver) -> int:
+        """Peek every live holder's hints for ``target`` (``max_n``
+        each), merge them by seq, hand the columns to ``deliver``, then
+        ack — destructive only after the delivery succeeded."""
         collected: list[tuple[int, int, float, float]] = []
         acks: list[tuple[_Slot, int, int]] = []  # (holder, upto, count)
         for holder in self._slots:
@@ -1351,9 +1276,7 @@ class ServiceRunner:
                 if not holder.healthy or holder.client is None:
                     continue
                 try:
-                    peek = holder.client.peek_hints(
-                        target, self.config.max_batch
-                    )
+                    peek = holder.client.peek_hints(target, max_n)
                 except (ShardDownError, ShardTimeoutError):
                     holder.healthy = False
                     continue
@@ -1366,17 +1289,14 @@ class ServiceRunner:
         if not collected:
             return 0
         collected.sort()
-        n = len(collected)
-        ids = np.asarray([c[1] for c in collected], dtype=np.int64)
-        times = np.asarray([c[2] for c in collected], dtype=np.float64)
-        values = np.asarray([c[3] for c in collected], dtype=np.float64)
-        seqs = np.asarray([c[0] for c in collected], dtype=np.int64)
-        for start in range(0, n, self.config.max_batch):
-            end = min(start + self.config.max_batch, n)
-            client.ingest(
-                ids[start:end], times[start:end], values[start:end],
-                seqs=seqs[start:end],
+        seqs, ids, times, values = (
+            np.asarray(column, dtype=dtype)
+            for column, dtype in zip(
+                zip(*collected),
+                (np.int64, np.int64, np.float64, np.float64),
             )
+        )
+        deliver(ids, times, values, seqs)
         for holder, upto, count in acks:
             try:
                 with holder.lock:
@@ -1390,9 +1310,9 @@ class ServiceRunner:
             self._hint_counts[key] = max(
                 0, self._hint_counts.get(key, 0) - count
             )
-        self._m.hints_replayed.inc(n)
+        self._m.hints_replayed.inc(len(collected))
         self._m.hint_backlog.set(sum(self._hint_counts.values()))
-        return n
+        return len(collected)
 
     def _reap_held_hints(self, shard_id: int) -> None:
         """A dying shard takes its *held* hints with it: zero the
@@ -1455,60 +1375,23 @@ class ServiceRunner:
         and only seqs past it are appended — replay on the next start
         is then exactly the uninterrupted stream.
         """
-        collected: list[tuple[int, int, float, float]] = []
-        acks: list[tuple[_Slot, int, int]] = []
-        for holder in self._slots:
-            if holder.shard_id == target:
-                continue
-            with holder.lock:
-                if not holder.healthy or holder.client is None:
-                    continue
-                try:
-                    peek = holder.client.peek_hints(
-                        target, self.config.hint_capacity
-                    )
-                except (ShardDownError, ShardTimeoutError):
-                    holder.healthy = False
-                    continue
-            if peek["seqs"]:
-                collected.extend(
-                    zip(peek["seqs"], peek["block_ids"],
-                        peek["times"], peek["values"])
-                )
-                acks.append((holder, peek["seqs"][-1], len(peek["seqs"])))
-        if not collected:
-            return 0
-        collected.sort()
-        journal = StreamJournal(
-            self.config.journal_path(target), sync_every=None
-        )
-        try:
-            keep = [c for c in collected if c[0] > journal.next_seq - 1]
-            if keep:
-                journal.append_many(
-                    np.asarray([c[1] for c in keep], dtype=np.int64),
-                    np.asarray([c[2] for c in keep], dtype=np.float64),
-                    np.asarray([c[3] for c in keep], dtype=np.float64),
-                    seqs=np.asarray([c[0] for c in keep], dtype=np.int64),
-                )
-            journal.flush()
-        finally:
-            journal.close()
-        for holder, upto, count in acks:
-            try:
-                with holder.lock:
-                    if holder.healthy and holder.client is not None:
-                        holder.client.ack_hints(target, upto)
-            except (ShardDownError, ShardTimeoutError):
-                holder.healthy = False
-                continue
-            key = (holder.shard_id, target)
-            self._hint_counts[key] = max(
-                0, self._hint_counts.get(key, 0) - count
+
+        def append(ids, times, values, seqs) -> None:
+            journal = StreamJournal(
+                self.config.journal_path(target), sync_every=None
             )
-        self._m.hints_replayed.inc(len(collected))
-        self._m.hint_backlog.set(sum(self._hint_counts.values()))
-        return len(collected)
+            try:
+                keep = seqs > journal.next_seq - 1
+                if keep.any():
+                    journal.append_many(
+                        ids[keep], times[keep], values[keep],
+                        seqs=seqs[keep],
+                    )
+                journal.flush()
+            finally:
+                journal.close()
+
+        return self._move_hints(target, self.config.hint_capacity, append)
 
     def _supervise_loop(self) -> None:
         interval = self.config.heartbeat_interval_s
@@ -1645,28 +1528,22 @@ class ServiceRunner:
             with slot.lock:
                 slot.client = client  # dead client; alive=False re-triggers
             return
-        if self.config.replication > 1:
-            # Anti-entropy before rejoin: journal replay restored the
-            # pre-kill state; the hints parked at surviving replicas
-            # carry everything accepted since.  The shard turns
-            # healthy *inside* the sync's final write-gated round, so
-            # rejoin is zero-downtime and loses nothing.
-            with slot.lock:
-                slot.client = client  # sync RPCs need it; still unhealthy
-            try:
-                sync = self._sync_hints(slot, client)
-            except (ShardDownError, ShardTimeoutError) as error:
-                self.events.error(
-                    "service.hint_sync_failed",
-                    shard_id=shard_id,
-                    error=str(error),
-                )
-                return  # dead/wedged client re-triggers the respawn path
-        else:
-            sync = None
-            with slot.lock:
-                slot.client = client
-                slot.healthy = True
+        # Anti-entropy before rejoin: journal replay restored the
+        # pre-kill state; the hints parked at surviving replicas carry
+        # everything accepted since (none at R=1).  The shard turns
+        # healthy *inside* the sync's final write-gated round, so
+        # rejoin is zero-downtime and loses nothing.
+        with slot.lock:
+            slot.client = client  # sync RPCs need it; still unhealthy
+        try:
+            sync = self._sync_hints(slot, client)
+        except (ShardDownError, ShardTimeoutError) as error:
+            self.events.error(
+                "service.hint_sync_failed",
+                shard_id=shard_id,
+                error=str(error),
+            )
+            return  # dead/wedged client re-triggers the respawn path
         with slot.lock:
             slot.respawns += 1
             slot.respawned_at = time.monotonic()
@@ -1679,7 +1556,7 @@ class ServiceRunner:
             reason=reason,
             pid=info["pid"],
             n_replayed=info["n_replayed"],
-            hints_replayed=sync["replayed"] if sync is not None else 0,
+            hints_replayed=sync["replayed"],
         )
 
     def _spawn(self, shard_id: int) -> ShardClient:

@@ -9,6 +9,10 @@ processes.
 
 import asyncio
 import json
+import signal
+import socket
+import subprocess
+import sys
 import threading
 from http.client import HTTPConnection
 
@@ -179,6 +183,33 @@ def test_keep_alive_serves_multiple_requests(harness):
             assert status == 200 and health["status"] == "ok"
     finally:
         conn.close()
+
+
+@pytest.mark.watchdog(120)
+def test_sigterm_with_idle_keep_alive_connection_exits_cleanly(tmp_path):
+    """SIGTERM while a client holds an idle keep-alive connection: the
+    server closes it during drain, exits 0, and logs no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0",
+         "--journal-dir", str(tmp_path / "journals")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("serving on http://"), banner
+        port = int(banner.split()[2].rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+            assert sock.recv(65536) == b""  # closed by the server
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, stderr
+    assert "Traceback" not in stderr, stderr
 
 
 @pytest.mark.watchdog(120)

@@ -101,7 +101,12 @@ def test_kill_during_ingest_captures_one_bundle_per_rule(tmp_path):
         ]
         assert bundle_records
         for record in bundle_records:
-            assert (record["ts"], record["event"]) in log_pairs
+            # Rings also keep below-threshold records (worker debug
+            # chatter such as stream.window_closed), which never reach
+            # the info-level sink; whether the capture sees any depends
+            # on whether the second ingest's reply beat it.
+            if record["level"] != "debug":
+                assert (record["ts"], record["event"]) in log_pairs
         assert manifest["trace_ids"]
         assert set(manifest["trace_ids"]) <= log_traces
 

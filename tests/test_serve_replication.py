@@ -18,6 +18,7 @@ visible in /metrics.
 import pytest
 
 from repro.core.retry import RetryPolicy
+from repro.faults import crash
 from repro.obs import MetricsRegistry
 from repro.serve import ServiceRunner, ShardDownError
 from repro.stream.journal import read_journal
@@ -26,6 +27,7 @@ from repro.stream.overload import OverloadConfig
 from tests.test_serve_api import make_harness
 from tests.test_serve_service import (
     N_BLOCKS,
+    hints_dropped,
     WINDOW,
     ROUND,
     interleaved,
@@ -146,6 +148,29 @@ def test_backpressure_rejects_whole_observation_under_replication(tmp_path):
         runner.flush()
         third = runner.ingest([(7, 61 * ROUND, 0.5)])
         assert third["accepted"] == 1 and not third["backpressure"]
+    finally:
+        runner.stop(drain=False)
+
+
+@pytest.mark.watchdog(120)
+def test_every_replica_dying_mid_rpc_rejects_without_hints(tmp_path):
+    """Both replicas die inside the same ingest RPC (the crash point
+    fires once in *each* worker): every observation is rejected as
+    ``shard_down``, and because a rejected observation is owed to no
+    one, nothing is hinted, dropped, or marked stale."""
+    runner = ServiceRunner(replicated_config(tmp_path), metrics=MetricsRegistry())
+    try:
+        with crash.armed("serve.shard.journaled", action="exit"):
+            runner.start()
+            report = runner.ingest(interleaved(2))
+        assert report["accepted"] == 0
+        assert report["rejected"] == N_BLOCKS * 2 and report["down"]
+        assert report["hinted"] == 0 and not report["degraded"]
+        assert hints_dropped(runner) == 0
+        assert not any(
+            entry["stale"]
+            for entry in runner.fleet_snapshot()["shards"].values()
+        )
     finally:
         runner.stop(drain=False)
 

@@ -11,14 +11,17 @@ drain) must be verdict-invisible.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.retry import RetryPolicy
+from repro.faults import crash
 from repro.obs import MetricsRegistry
 from repro.obs.alerts import default_service_rules
 from repro.serve import ServiceConfig, ServiceRunner, ShardDownError
+from repro.obs.tracing import Tracer
 from repro.serve.shard import _report_to_dict
 from repro.stream.engine import StreamConfig, batch_window_report
 from repro.stream.journal import read_journal
@@ -155,6 +158,88 @@ def test_small_acked_batch_survives_sigkill(runner):
     snapshot = runner.query_block(5)
     assert snapshot is not None
     assert snapshot["n_observations"] == 2
+
+
+def hints_dropped(runner) -> float:
+    return runner.metrics.counter(
+        "service_hints_total", outcome="dropped"
+    ).value
+
+
+@pytest.mark.watchdog(120)
+def test_shard_death_mid_rpc_rejects_unacked_tail_without_stale(tmp_path):
+    """R=1: a shard that dies mid-RPC costs exactly its un-acked tail.
+
+    The second ingest chunk of whichever shard gets there first kills
+    that worker after journaling.  Its acked first chunk stays
+    accepted, the rest is rejected as ``shard_down``, and nothing is
+    hinted: with no other chain member there is no holder, and a
+    rejected observation is owed to no one — so the slot must not go
+    stale and no hint may be counted as dropped.
+    """
+    chunk = 8
+    config = service_config(tmp_path, max_batch=chunk)
+    runner = ServiceRunner(config, metrics=MetricsRegistry())
+    observations = interleaved(8)  # 64 observations over both shards
+    sizes = Counter(runner.owner(block_id) for block_id, _, _ in observations)
+    assert len(sizes) == 2 and min(sizes.values()) > chunk
+    try:
+        with crash.armed(
+            "serve.shard.journaled", hits=2, action="exit",
+            marker=tmp_path / "crash.marker",
+        ):
+            runner.start()
+            report = runner.ingest(observations)
+        failed = [
+            sid for sid, entry in report["shards"].items()
+            if entry["reason"] == "shard_down"
+        ]
+        assert len(failed) == 1
+        victim = failed[0]
+        entry = report["shards"][victim]
+        assert entry["accepted"] == chunk
+        assert entry["rejected"] == sizes[victim] - chunk
+        assert report["down"] and report["hinted"] == 0
+        assert report["rejected"] == sizes[victim] - chunk
+        assert report["accepted"] == len(observations) - report["rejected"]
+        assert not runner.fleet_snapshot()["shards"][str(victim)]["stale"]
+        assert runner.wait_healthy(timeout_s=60.0)
+        fleet = runner.fleet_snapshot()
+        assert not any(e["stale"] for e in fleet["shards"].values())
+        assert hints_dropped(runner) == 0
+    finally:
+        runner.stop(drain=False)
+
+
+@pytest.mark.watchdog(120)
+@pytest.mark.parametrize("replication", [1, 2])
+def test_route_span_covers_chain_planning(tmp_path, replication):
+    """The ``route`` span opens before the first replica-chain lookup,
+    so it covers the whole ingest call (planning included)."""
+    tracer = Tracer()
+    runner = ServiceRunner(
+        service_config(tmp_path, replication=replication), tracer=tracer
+    )
+    lookups = []
+    chain = runner._chain
+
+    def spy(block_id):
+        lookups.append(time.perf_counter())
+        return chain(block_id)
+
+    try:
+        runner.start()
+        runner._chain = spy
+        t0 = time.perf_counter()
+        runner.ingest(interleaved(2))
+        t1 = time.perf_counter()
+        routes = [span for span in tracer.roots if span.name == "route"]
+        assert len(routes) == 1 and lookups
+        route = routes[0]
+        assert t0 <= route.start_s < lookups[0]
+        assert lookups[-1] < route.start_s + route.duration_s <= t1
+    finally:
+        runner.stop(drain=False)
 
 
 @pytest.mark.watchdog(120)
