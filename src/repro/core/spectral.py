@@ -21,6 +21,7 @@ __all__ = [
     "diurnal_bin",
     "diurnal_candidates",
     "goertzel",
+    "goertzel_basis",
     "harmonic_bins",
 ]
 
@@ -138,8 +139,13 @@ def goertzel(values: np.ndarray, bins: np.ndarray | int) -> np.ndarray:
         raise ValueError(
             f"bins must be in [0, {n_bins}) for a {n}-sample series"
         )
+    return goertzel_basis(n, bins) @ values
+
+
+def goertzel_basis(n: int, bins: np.ndarray) -> np.ndarray:
+    """The ``(len(bins), n)`` DFT rows :func:`goertzel` multiplies by."""
     angles = -2j * np.pi * np.outer(bins, np.arange(n)) / n
-    return np.exp(angles) @ values
+    return np.exp(angles)
 
 
 def diurnal_bin(n_samples: int, round_s: float) -> int:

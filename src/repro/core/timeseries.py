@@ -260,18 +260,14 @@ def fill_missing(values: np.ndarray, max_gap: int = 1) -> tuple[np.ndarray, int]
     if first_valid > 0 and first_valid <= max_gap:
         values[:first_valid] = values[first_valid]
         n_filled += first_valid
-    gap = 0
-    last = values[first_valid]
-    for i in range(first_valid, len(values)):
-        if np.isnan(values[i]):
-            gap += 1
-            if gap <= max_gap:
-                values[i] = last
-                n_filled += 1
-        else:
-            last = values[i]
-            gap = 0
-    return values, n_filled
+    # Each round's most recent observation at or before it (-1: none
+    # yet); a missing round is filled when it lies within ``max_gap``
+    # rounds of that observation, so longer gaps are filled partially.
+    index = np.arange(len(values))
+    last = np.maximum.accumulate(np.where(isnan, -1, index))
+    fill = isnan & (last >= 0) & (index - last <= max_gap)
+    values[fill] = values[last[fill]]
+    return values, n_filled + int(np.count_nonzero(fill))
 
 
 def fill_gaps(

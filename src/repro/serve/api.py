@@ -17,7 +17,10 @@ Endpoints:
   of the ring (with ``replication`` R, that takes R simultaneous
   deaths).  A 200 that landed on fewer than R replicas carries
   ``X-Write-Degraded: 1`` — accepted, durable on the live replicas,
-  and owed to the dead one via hinted handoff.
+  and owed to the dead one via hinted handoff.  400 names the first
+  malformed observation: a block id that is not a JSON integer in the
+  signed 64-bit range, or a time or value that is not a JSON number
+  (``NaN``/``Infinity`` are numbers; the engine counts them invalid).
 * ``GET /blocks/{key}/state`` — the freshest live snapshot of one
   block across its replica chain (watermark, closed-window verdicts,
   provisional estimate).  404 for untracked blocks, 503 + Retry-After
@@ -80,6 +83,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
 import urllib.parse
 
@@ -98,6 +102,8 @@ __all__ = ["ServiceAPI"]
 _MAX_BODY_BYTES = 32 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_PROFILE_SECONDS = 30.0
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_FLOAT_MAX = int(sys.float_info.max)
 
 # Latency buckets tuned for a local-pipe service: sub-ms cache hits
 # through multi-second profile grabs.
@@ -118,6 +124,33 @@ class _HTTPError(Exception):
         self.message = message
         self.retry_after_s = retry_after_s
         self.headers = headers or {}
+
+
+def _check_observation(i: int, triple) -> None:
+    """400 unless ``triple`` is ``[int64 block id, number, number]``."""
+    if not isinstance(triple, list) or len(triple) != 3:
+        raise _HTTPError(
+            400, f"observation {i} ({triple!r}) is not a [block, t, v] triple"
+        )
+    block_id, time_s, value = triple
+    # bool is an int subclass; JSON true/false is not a block id.
+    if (
+        type(block_id) is not int
+        or not _INT64_MIN <= block_id <= _INT64_MAX
+    ):
+        raise _HTTPError(
+            400, f"observation {i}: block id {block_id!r} is not a "
+            "64-bit integer"
+        )
+    for name, number in (("time", time_s), ("value", value)):
+        # An integer too large for a float is no time or value either.
+        if type(number) is float or (
+            type(number) is int and abs(number) <= _FLOAT_MAX
+        ):
+            continue
+        raise _HTTPError(
+            400, f"observation {i}: {name} {number!r} is not a number"
+        )
 
 
 _STATUS_TEXT = {
@@ -472,11 +505,8 @@ class ServiceAPI:
             raise _HTTPError(
                 400, 'body must be {"observations": [[block_id, t, v], ...]}'
             )
-        for triple in observations:
-            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-                raise _HTTPError(
-                    400, f"observation {triple!r} is not a [block, t, v] triple"
-                )
+        for i, triple in enumerate(observations):
+            _check_observation(i, triple)
         report = await self._offload(
             self.runner.ingest, observations, context
         )

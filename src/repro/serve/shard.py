@@ -7,10 +7,11 @@ through a per-shard :class:`~repro.stream.journal.StreamJournal`.  The
 ordering is the durability contract: an observation batch is **framed
 into the journal before it is offered to the admission queue**, so a
 shard killed at any instant recovers by replaying its journal into a
-fresh engine — the replay goes through the same controller ``ingest``
-path, and because an unloaded controller is a direct delegation, the
-recovered engine state is bit-identical to an uninterrupted run over
-the same admitted observations.
+fresh engine — the replay goes through the controller's
+``ingest_batch`` path, and because an unloaded controller is a direct
+delegation and the engine's batch path equals per-observation ingest
+bit for bit, the recovered engine state is bit-identical to an
+uninterrupted run over the same admitted observations.
 
 Under replication the runner assigns every observation copy a sequence
 number from the *destination* shard's stream and ships it with the
@@ -283,9 +284,7 @@ def _shard_main(
                 journal.append_many(block_ids, times, values, seqs=seqs)
                 journal.settle()
                 crashpoint("serve.shard.journaled")
-                submit = controller.submit
-                for block_id, time_s, value in zip(block_ids, times, values):
-                    submit(int(block_id), float(time_s), float(value))
+                controller.submit_batch(block_ids, times, values)
                 controller.pump(config.pump_budget)
                 if parent is not None and events is not None:
                     # One correlated record per traced ingest RPC: the

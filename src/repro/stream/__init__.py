@@ -3,13 +3,14 @@
 ``engine``
     :class:`StreamEngine` — watermark-ordered ingestion, per-round
     sliding-DFT updates, hop-window closes with batch-parity verdicts,
-    label hysteresis, and event emission.
+    label hysteresis, and event emission; ``ingest_batch`` takes
+    mixed-block batches with array operations across blocks.
 ``window``
     :class:`RoundWindow` — the bounded ring-buffer grid with the batch
-    path's duplicate/gap-fill/quality semantics.
+    path's duplicate/gap-fill/quality semantics, one row per block.
 ``sliding_dft``
     :class:`SlidingDFT` — O(tracked bins) per-round spectral updates at
-    the DC, diurnal, and harmonic bins.
+    the DC, diurnal, and harmonic bins, one row per block.
 ``events`` / ``sinks``
     Typed events, the synchronous :class:`EventBus`, and pluggable
     sinks (list, counting, callback, filter, CSV).

@@ -4,10 +4,10 @@ The batch pipeline classifies a block once, after the campaign ends.
 This engine consumes the same per-round observations *as they arrive*
 and maintains, per block:
 
-* a bounded :class:`~repro.stream.window.RoundWindow` ring with the
-  section 2.2 grid/duplicate/fill semantics (memory is O(window), not
-  O(campaign));
-* a :class:`~repro.stream.sliding_dft.SlidingDFT` over the trailing
+* a bounded :class:`~repro.stream.window.RoundWindow` ring row with
+  the section 2.2 grid/duplicate/fill semantics (memory is O(window),
+  not O(campaign));
+* a :class:`~repro.stream.sliding_dft.SlidingDFT` row over the trailing
   window, tracking only the DC, diurnal, and harmonic bins — O(tracked
   bins) per round instead of O(n log n) per reclassification;
 * a hysteresis-stable diurnal label that only transitions after
@@ -27,12 +27,17 @@ grid-and-fill code and calling the same classifier the batch path uses,
 so the streaming report is bit-identical to
 :func:`repro.core.classify.classify_series` over the identical window —
 :func:`batch_window_report` is the oracle tests compare against.
+
+Every ingest goes through :meth:`StreamEngine.ingest_batch`, which
+applies the common per-observation step to many blocks at once with
+array operations and is bit-identical to one-at-a-time ingestion.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isfinite
 from typing import TYPE_CHECKING
 
@@ -72,7 +77,7 @@ from repro.stream.events import (
     WindowClosed,
 )
 from repro.stream.sliding_dft import SlidingDFT
-from repro.stream.window import RoundWindow
+from repro.stream.window import RoundWindow, grow_rows
 
 __all__ = [
     "ProvisionalEstimate",
@@ -206,53 +211,34 @@ class ProvisionalEstimate:
         )
 
 
-class _BlockState:
-    """Everything the engine tracks for one block."""
+class _Verdict:
+    """A block's close-time state: labels, hysteresis, quality, counts.
+
+    Touched only at window closes and late drops, so it stays a plain
+    object; everything the per-observation step touches lives in the
+    engine's row arrays.
+    """
 
     __slots__ = (
-        "ring",
-        "dft",
-        "filled_ring",
-        "last_filled",
-        "trailing_missing",
-        "n_frozen",
-        "max_round",
-        "watermark",
-        "next_close_start",
         "stable_label",
         "candidate",
         "candidate_count",
         "stable_run",
-        "last_edge_round",
         "degraded",
-        "level",
         "last_report",
         "n_closed",
         "n_late",
-        "n_observations",
     )
 
-    def __init__(self, capacity: int, window: int, bins) -> None:
-        self.ring = RoundWindow(capacity)
-        self.dft = SlidingDFT(window, bins)
-        self.filled_ring = np.full(window, np.nan)
-        self.last_filled = float("nan")
-        self.trailing_missing = window
-        self.n_frozen = 0
-        self.max_round = -1
-        self.watermark = -1
-        self.next_close_start = 0
+    def __init__(self) -> None:
         self.stable_label: DiurnalClass | None = None
         self.candidate: DiurnalClass | None = None
         self.candidate_count = 0
         self.stable_run = 0
-        self.last_edge_round: int | None = None
         self.degraded = False
-        self.level: str | None = None
         self.last_report: DiurnalReport | None = None
         self.n_closed = 0
         self.n_late = 0
-        self.n_observations = 0
 
 
 class _EngineMetrics:
@@ -292,6 +278,17 @@ class _EngineMetrics:
         self.ingest_rate = registry.meter("stream_close_interval_observations")
 
 
+# Runs shorter than this take the per-observation step: below it, the
+# fixed cost of the array ops exceeds the per-observation work they save.
+_MIN_ARRAY_RUN = 8
+# ``replay`` feeds its iterable through ``ingest_batch`` in chunks this big.
+_REPLAY_CHUNK = 4096
+# Rows are allocated geometrically from this start.
+_FIRST_ROWS = 8
+# Level codes in ``_level``: no level yet, below, above the dead band.
+_LOW, _NONE, _HIGH = -1, 0, 1
+
+
 class StreamEngine:
     """Consume per-round observations, maintain verdicts, emit events.
 
@@ -304,6 +301,13 @@ class StreamEngine:
     log mirrors the typed bus events that matter operationally: late
     drops, quality degradation/restoration, label transitions, and
     (at debug level, for flight recorders) every window close.
+
+    Block state is struct-of-arrays: block ``b`` owns row
+    ``self._rows[b]`` of one row-batched :class:`RoundWindow`, one
+    row-batched :class:`SlidingDFT`, the filled-value ring, and the
+    watermark/max-round/close arrays, so :meth:`ingest_batch` can take
+    the common per-observation step for many blocks with one set of
+    array operations.
     """
 
     def __init__(
@@ -331,7 +335,6 @@ class StreamEngine:
         self._pending_invalid = 0
         self._pending_frozen = 0
         self._n_invalid = 0
-        self._states: dict[int, _BlockState] = {}
         n = config.window_rounds
         n_bins = n // 2 + 1
         k_d = diurnal_bin(n, config.round_s)
@@ -351,67 +354,100 @@ class StreamEngine:
         self._reseed_every = (
             n if config.reseed_every is None else config.reseed_every
         )
+        # Row state.  ``_rows`` maps block id -> row, rows handed out in
+        # arrival order of first sight.
+        self._rows: dict = {}
+        self._verdicts: list[_Verdict] = []
+        self._ring = RoundWindow(self._capacity, rows=0)
+        self._dft = SlidingDFT(n, self._tracked, rows=0)
+        self._filled = np.empty((0, n))
+        self._last_filled = np.empty(0)
+        self._max_round = np.empty(0, dtype=np.int64)
+        self._watermark = np.empty(0, dtype=np.int64)
+        self._next_close = np.empty(0, dtype=np.int64)
+        self._n_frozen = np.empty(0, dtype=np.int64)
+        self._trailing_missing = np.empty(0, dtype=np.int64)
+        self._n_obs = np.empty(0, dtype=np.int64)
+        self._level = np.empty(0, dtype=np.int8)
+        self._last_edge = np.empty(0, dtype=np.int64)  # -1: no edge yet
 
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, block_id: int, time_s: float, value: float) -> None:
         """Process one observation (any order within the lateness slack).
 
-        Non-finite ``time_s``/``value`` (NaN, +/-inf — a corrupt frame,
-        a broken sensor) are dropped before they can poison the ring:
-        NaN times grid to garbage rounds and NaN values defeat the
-        fill/quality accounting.  Each drop is a structured
-        ``stream.invalid_observation`` event and a
+        A length-1 :meth:`ingest_batch`.  Non-finite ``time_s``/``value``
+        (NaN, +/-inf — a corrupt frame, a broken sensor) are dropped
+        before they can poison the ring: NaN times grid to garbage
+        rounds and NaN values defeat the fill/quality accounting.  Each
+        drop is a structured ``stream.invalid_observation`` event and a
         ``stream_invalid_observations_total`` count, never an exception
         — invalid input is an operational condition, not a bug.
         """
-        if not (isfinite(time_s) and isfinite(value)):
-            self._pending_invalid += 1
-            self._n_invalid += 1
-            self.events.warning(
-                "stream.invalid_observation",
-                block_id=block_id,
-                time_s=repr(float(time_s)),
-                value=repr(float(value)),
-            )
+        self.ingest_batch((block_id,), (time_s,), (value,))
+
+    def ingest_batch(self, block_ids, times, values) -> None:
+        """Process a mixed-block batch of observations in arrival order.
+
+        The result — events, their order, snapshots, DFT coefficients,
+        every tally — is bit-identical to feeding the observations one
+        at a time.  The batch is cut into runs, a run ending only where
+        a block repeats.  Within a run, the *common step* (a known
+        block's next in-order round: observe it, freeze exactly one
+        round, slide the DFT, test for a phase edge) is one set of
+        array operations over every block it applies to.  The run is
+        then walked in arrival order: the walk publishes the common
+        steps' phase edges and takes the per-observation step for
+        everything else (invalid, late, first sight of a block, a
+        duplicate or out-of-order round, a multi-round advance, a
+        window close, a reseed).  Blocks in one run are distinct, so
+        the common steps commute with the walk.  A sink that reads
+        engine state from inside ``emit`` may see later observations of
+        the same run already applied to *other* blocks.
+        """
+        if isinstance(block_ids, np.ndarray):
+            block_ids = block_ids.tolist()
+        if len(times) == 1 and len(block_ids) == 1 and len(values) == 1:
+            self._ingest_one(block_ids[0], times[0], values[0])
             return
-        state = self._state(block_id)
-        r = int(round_index(time_s, self.config.round_s, self.config.start_s))
-        if r < 0 or r <= state.watermark:
-            state.n_late += 1
-            self._pending_late += 1
-            self.bus.publish(
-                LateObservation(
-                    block_id=block_id,
-                    round_index=r,
-                    time_s=time_s,
-                    value=float(value),
-                    lag_rounds=state.watermark - r,
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        m = len(block_ids)
+        if not times.shape == values.shape == (m,):
+            raise ValueError(
+                "block_ids, times and values must be aligned 1-d sequences"
+            )
+        if m == 0:
+            return
+        valid = np.isfinite(times) & np.isfinite(values)
+        all_valid = bool(valid.all())
+        config = self.config
+        if all_valid:
+            r = round_index(times, config.round_s, config.start_s)
+        else:
+            r = np.zeros(m, dtype=np.int64)
+            r[valid] = round_index(times[valid], config.round_s, config.start_s)
+        ids_l = list(block_ids)
+        rows_l, first = self._lookup(ids_l, valid, all_valid)
+        rows = np.array(rows_l, dtype=np.int64)
+        times_l = times.tolist()
+        values_l = values.tolist()
+        r_l = r.tolist()
+        known = valid & ~first
+        step = self._step
+        for s, e in self._runs(rows, valid, all_valid):
+            if e - s >= _MIN_ARRAY_RUN:
+                self._run(
+                    s, e, ids_l, times_l, values_l, r_l, rows_l,
+                    times, values, r, rows, known,
                 )
-            )
-            self.events.warning(
-                "stream.late_drop",
-                block_id=block_id,
-                round_index=r,
-                lag_rounds=state.watermark - r,
-            )
-            return
-        if r >= state.ring.base + state.ring.capacity:
-            # A jump ahead: freeze/close/evict everything that must
-            # precede this round so the ring has room for it.
-            self._advance(state, block_id, r - self.config.lateness_rounds - 1)
-        state.ring.observe(r, float(time_s), float(value))
-        state.n_observations += 1
-        self._pending_ingested += 1
-        self._since_close += 1
-        if r > state.max_round:
-            state.max_round = r
-            # The newest round itself stays open (a same-round duplicate
-            # must still be able to revise it), so the watermark trails
-            # one round behind the lateness slack.
-            target = r - self.config.lateness_rounds - 1
-            if target > state.watermark:
-                self._advance(state, block_id, target)
+                continue
+            for i in range(s, e):
+                q = rows_l[i]
+                if q < 0:
+                    self._invalid(ids_l[i], times_l[i], values_l[i])
+                else:
+                    step(q, ids_l[i], r_l[i], times_l[i], values_l[i])
 
     def ingest_many(
         self, block_id: int, times: np.ndarray, values: np.ndarray
@@ -421,15 +457,15 @@ class StreamEngine:
         values = np.asarray(values, dtype=np.float64)
         if times.shape != values.shape:
             raise ValueError("times and values must have the same shape")
-        for t, v in zip(times, values):
-            self.ingest(block_id, float(t), float(v))
+        self.ingest_batch([block_id] * len(times), times, values)
 
     def replay(self, stream) -> int:
         """Consume ``(block_id, time_s, value)`` tuples from an iterable."""
+        stream = iter(stream)
         n = 0
-        for block_id, time_s, value in stream:
-            self.ingest(block_id, time_s, value)
-            n += 1
+        while batch := list(islice(stream, _REPLAY_CHUNK)):
+            self.ingest_batch(*zip(*batch))
+            n += len(batch)
         return n
 
     def flush(
@@ -441,33 +477,34 @@ class StreamEngine:
         also classified (when it spans at least one day), exactly as the
         batch path would classify the same shorter window.
         """
-        ids = [block_id] if block_id is not None else list(self._states)
+        ids = [block_id] if block_id is not None else list(self._rows)
         for bid in ids:
-            state = self._states[bid]
-            if state.max_round > state.watermark:
-                self._advance(state, bid, state.max_round)
-            if close_partial and state.next_close_start <= state.max_round:
-                n_tail = state.max_round - state.next_close_start + 1
-                self._close_window(state, bid, n_tail, partial=True)
+            q = self._rows[bid]
+            max_round = int(self._max_round[q])
+            if max_round > self._watermark[q]:
+                self._advance(q, bid, max_round)
+            start = int(self._next_close[q])
+            if close_partial and start <= max_round:
+                self._close_window(q, bid, max_round - start + 1, partial=True)
         self._sync_counters()
 
     # -- accessors ---------------------------------------------------------
 
     def blocks(self) -> list[int]:
-        return sorted(self._states)
+        return sorted(self._rows)
 
     def watermark(self, block_id: int) -> int:
-        return self._states[block_id].watermark
+        return int(self._watermark[self._rows[block_id]])
 
     def stable_label(self, block_id: int) -> DiurnalClass | None:
         """The hysteresis-smoothed label (None before the first close)."""
-        return self._states[block_id].stable_label
+        return self._verdicts[self._rows[block_id]].stable_label
 
     def last_report(self, block_id: int) -> DiurnalReport | None:
-        return self._states[block_id].last_report
+        return self._verdicts[self._rows[block_id]].last_report
 
     def n_late(self, block_id: int) -> int:
-        return self._states[block_id].n_late
+        return self._verdicts[self._rows[block_id]].n_late
 
     @property
     def n_invalid(self) -> int:
@@ -476,7 +513,7 @@ class StreamEngine:
 
     def tracked(self, block_id: int) -> bool:
         """Whether the engine has any state for this block yet."""
-        return block_id in self._states
+        return block_id in self._rows
 
     def stable_run(self, block_id: int) -> int:
         """Consecutive closes agreeing with the current stable label.
@@ -486,41 +523,44 @@ class StreamEngine:
         windows — exactly the blocks the overload shedder can afford to
         thin out first.  Unknown blocks report 0.
         """
-        state = self._states.get(block_id)
-        return 0 if state is None else state.stable_run
+        q = self._rows.get(block_id)
+        return 0 if q is None else self._verdicts[q].stable_run
 
     def last_edge_round(self, block_id: int) -> int | None:
         """The round of the block's most recent sleep/wake phase edge."""
-        state = self._states.get(block_id)
-        return None if state is None else state.last_edge_round
+        q = self._rows.get(block_id)
+        if q is None or self._last_edge[q] < 0:
+            return None
+        return int(self._last_edge[q])
 
     def next_close_start(self, block_id: int) -> int:
         """First round of the next window this block will close."""
-        state = self._states.get(block_id)
-        return 0 if state is None else state.next_close_start
+        q = self._rows.get(block_id)
+        return 0 if q is None else int(self._next_close[q])
 
     def provisional(self, block_id: int) -> ProvisionalEstimate:
         """The current trailing-window spectral state (O(tracked bins))."""
-        state = self._states[block_id]
-        dft = state.dft
-        cand_amps = dft.amplitudes(self._cand)
+        q = self._rows[block_id]
+        dft = self._dft
+        cand_amps = dft.amplitudes(self._cand, q)
         best = int(np.argmax(cand_amps))
         k_best = int(self._cand[best])
         strongest_harmonic = (
-            float(dft.amplitudes(self._harmonics).max())
+            float(dft.amplitudes(self._harmonics, q).max())
             if len(self._harmonics)
             else 0.0
         )
+        watermark = int(self._watermark[q])
         return ProvisionalEstimate(
             block_id=block_id,
-            round_index=state.watermark,
-            time_s=self._round_time(state.watermark),
-            mean=dft.mean(),
+            round_index=watermark,
+            time_s=self._round_time(watermark),
+            mean=dft.mean(q),
             diurnal_k=k_best,
             diurnal_amplitude=float(cand_amps[best]),
-            diurnal_phase=dft.phase(k_best),
+            diurnal_phase=dft.phase(k_best, q),
             strongest_harmonic=strongest_harmonic,
-            primed=state.trailing_missing == 0,
+            primed=bool(self._trailing_missing[q] == 0),
         )
 
     def snapshot(self, block_id: int) -> dict | None:
@@ -534,22 +574,23 @@ class StreamEngine:
         objects — :func:`repro.serve.shard.snapshot_to_dict` flattens
         them for JSON transport.
         """
-        state = self._states.get(block_id)
-        if state is None:
+        q = self._rows.get(block_id)
+        if q is None:
             return None
+        verdict = self._verdicts[q]
         return {
             "block_id": block_id,
-            "watermark": state.watermark,
-            "max_round": state.max_round,
-            "next_close_start": state.next_close_start,
-            "stable_label": state.stable_label,
-            "stable_run": state.stable_run,
-            "last_report": state.last_report,
-            "n_closed": state.n_closed,
-            "n_late": state.n_late,
-            "n_observations": state.n_observations,
-            "last_edge_round": state.last_edge_round,
-            "degraded": state.degraded,
+            "watermark": int(self._watermark[q]),
+            "max_round": int(self._max_round[q]),
+            "next_close_start": int(self._next_close[q]),
+            "stable_label": verdict.stable_label,
+            "stable_run": verdict.stable_run,
+            "last_report": verdict.last_report,
+            "n_closed": verdict.n_closed,
+            "n_late": verdict.n_late,
+            "n_observations": int(self._n_obs[q]),
+            "last_edge_round": self.last_edge_round(block_id),
+            "degraded": verdict.degraded,
             "provisional": self.provisional(block_id),
         }
 
@@ -563,25 +604,26 @@ class StreamEngine:
         blocks are omitted — their phase is noise by definition.
         """
         out: dict[int, dict] = {}
-        for block_id, state in self._states.items():
-            report = state.last_report
+        for block_id, q in self._rows.items():
+            verdict = self._verdicts[q]
+            report = verdict.last_report
             if report is None or not report.label.is_diurnal:
                 continue
             out[block_id] = {
                 "label": report.label.value,
                 "stable_label": (
-                    state.stable_label.value
-                    if state.stable_label is not None
+                    verdict.stable_label.value
+                    if verdict.stable_label is not None
                     else None
                 ),
                 "diurnal_k": report.diurnal_k,
                 "phase": report.phase,
                 "amplitude": report.diurnal_amplitude,
-                "watermark": state.watermark,
+                "watermark": int(self._watermark[q]),
                 # Freshness key for replicated serving: two replicas of
                 # the same block compare applied-observation counts to
                 # decide whose entry wins a merge.
-                "n_observations": state.n_observations,
+                "n_observations": int(self._n_obs[q]),
             }
         return out
 
@@ -602,7 +644,7 @@ class StreamEngine:
             kind="stream",
             registry=self.metrics,
             tracer=self.tracer,
-            n_blocks=len(self._states),
+            n_blocks=len(self._rows),
             quality_gates=asdict(self.config.classifier),
             window_rounds=self.config.window_rounds,
             hop_rounds=self.config.hop,
@@ -628,106 +670,348 @@ class StreamEngine:
             self._m.frozen.inc(self._pending_frozen)
             self._pending_frozen = 0
 
-    def _state(self, block_id: int) -> _BlockState:
-        state = self._states.get(block_id)
-        if state is None:
-            state = _BlockState(
-                self._capacity, self.config.window_rounds, self._tracked
+    def _add_row(self, block_id) -> int:
+        """Give a new block a fresh row; returns it."""
+        q = len(self._verdicts)
+        if q == len(self._n_obs):
+            size = max(_FIRST_ROWS, 2 * q)
+            self._ring.grow(size)
+            self._dft.grow(size)
+            self._filled = grow_rows(self._filled, size)
+            for name in (
+                "_last_filled", "_max_round", "_watermark", "_next_close",
+                "_n_frozen", "_trailing_missing", "_n_obs", "_level",
+                "_last_edge",
+            ):
+                setattr(self, name, grow_rows(getattr(self, name), size))
+        self._ring.reset_rows(q)
+        self._dft.table[q] = 0
+        self._filled[q] = np.nan
+        self._last_filled[q] = np.nan
+        self._max_round[q] = -1
+        self._watermark[q] = -1
+        self._next_close[q] = 0
+        self._n_frozen[q] = 0
+        self._trailing_missing[q] = self.config.window_rounds
+        self._n_obs[q] = 0
+        self._level[q] = _NONE
+        self._last_edge[q] = -1
+        self._rows[block_id] = q
+        self._verdicts.append(_Verdict())
+        self._m.blocks.inc()
+        return q
+
+    def _row(self, block_id) -> int:
+        q = self._rows.get(block_id)
+        return self._add_row(block_id) if q is None else q
+
+    def _lookup(
+        self, ids: list, valid: np.ndarray, all_valid: bool
+    ) -> tuple[list[int], np.ndarray]:
+        """Rows for a batch (-1 where invalid) and its first sightings.
+
+        Blocks never seen before get rows in arrival order of their
+        first valid observation, exactly as per-observation ingest
+        would create them.
+        """
+        get = self._rows.get
+        rows = [get(block_id, -1) for block_id in ids]
+        if not all_valid:
+            rows = [q if ok else -1 for q, ok in zip(rows, valid.tolist())]
+        first = np.zeros(len(ids), dtype=bool)
+        if -1 in rows:
+            for i in np.flatnonzero(valid).tolist():
+                if rows[i] < 0:
+                    q = get(ids[i])
+                    if q is None:
+                        q = self._add_row(ids[i])
+                        first[i] = True
+                    rows[i] = q
+        return rows, first
+
+    @staticmethod
+    def _runs(rows: np.ndarray, valid: np.ndarray, all_valid: bool):
+        """``(start, stop)`` of each run: a run ends where a block repeats."""
+        m = len(rows)
+        key = rows if all_valid else np.where(valid, rows, -1 - np.arange(m))
+        order = np.argsort(key, kind="stable")
+        repeat = key[order[1:]] == key[order[:-1]]
+        if not repeat.any():
+            return [(0, m)]
+        prev = np.full(m, -1, dtype=np.int64)
+        prev[order[1:][repeat]] = order[:-1][repeat]
+        at = np.flatnonzero(prev >= 0)
+        bounds = [0]
+        start = 0
+        for i, p in zip(at.tolist(), prev[at].tolist()):
+            if p >= start:
+                bounds.append(i)
+                start = i
+        bounds.append(m)
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    def _run(
+        self, s, e, ids_l, times_l, values_l, r_l, rows_l,
+        times, values, r, rows, known,
+    ) -> None:
+        """One run of distinct blocks: array common step, then the walk."""
+        config = self.config
+        n = config.window_rounds
+        cap = self._capacity
+        ring = self._ring
+        pos = s + np.flatnonzero(known[s:e])
+        q = rows[pos]
+        rr = r[pos]
+        f = self._watermark[q] + 1
+        common = (
+            (rr - (config.lateness_rounds + 1) == f)
+            & (rr > self._max_round[q])
+            & (rr < ring.bases[q] + cap)
+            & (f != self._next_close[q] + (n - 1))
+        )
+        n_frozen = self._n_frozen[q] + 1
+        common &= n_frozen % self._reseed_every != 0
+        common &= ~ring.observed[q, rr % cap]
+        pos, q, rr, f = pos[common], q[common], rr[common], f[common]
+        kind = np.ones(e - s, dtype=np.int8)  # 1: per-observation step
+        kind[pos - s] = 0
+        edges: dict[int, PhaseEdge] = {}
+        if len(pos):
+            ring.observe_rows(q, rr, times[pos], values[pos])
+            self._n_obs[q] += 1
+            self._max_round[q] = rr
+            # Freeze round f (one round per block): what _freeze_round
+            # does for a single row, without a reseed or a close.
+            raw = ring.values[q, f % cap]
+            filled = np.where(np.isnan(raw), self._last_filled[q], raw)
+            self._last_filled[q] = filled
+            col = f % n
+            evicted = self._filled[q, col]
+            self._filled[q, col] = filled
+            entering_nan = np.isnan(filled)
+            evicted_nan = np.isnan(evicted)
+            self._dft.slide_rows(
+                q,
+                np.where(entering_nan, 0.0, filled),
+                np.where(evicted_nan, 0.0, evicted),
             )
-            self._states[block_id] = state
-            self._m.blocks.inc()
-        return state
+            missing = self._trailing_missing[q] + entering_nan - evicted_nan
+            self._trailing_missing[q] = missing
+            self._n_frozen[q] = n_frozen[common]
+            self._watermark[q] = f
+            test = (missing == 0) & ~entering_nan
+            if test.any():
+                edges = self._phase_edges(
+                    ids_l, pos[test], q[test], f[test], filled[test]
+                )
+                kind[np.fromiter(edges, dtype=np.int64) - s] = 2
+        # The walk, in arrival order.  Common steps between two walked
+        # observations only advance the arrival-order tallies.
+        done = s
+        step = self._step
+        for i in (s + np.flatnonzero(kind)).tolist():
+            edge = edges.get(i)
+            self._tally_common(i - done + (edge is not None))
+            done = i + 1
+            if edge is not None:
+                self.bus.publish(edge)
+                continue
+            qi = rows_l[i]
+            if qi < 0:
+                self._invalid(ids_l[i], times_l[i], values_l[i])
+            else:
+                step(qi, ids_l[i], r_l[i], times_l[i], values_l[i])
+        self._tally_common(e - done)
+
+    def _tally_common(self, k: int) -> None:
+        """Arrival-order tallies of ``k`` common steps."""
+        self._since_close += k
+        self._pending_ingested += k
+        self._pending_frozen += k
+
+    def _phase_edges(self, ids, pos, q, f, value) -> dict[int, PhaseEdge]:
+        """:meth:`_phase_edge` for many rows; edge events keyed by position
+        in the batch whose block ids are ``ids``."""
+        # Column 0 is the DC bin: tracked bins are sorted and include 0.
+        mean = self._dft.table[q, 0].real / self.config.window_rounds
+        margin = self.config.edge_margin
+        level = np.where(
+            value > mean + margin,
+            _HIGH,
+            np.where(value < mean - margin, _LOW, _NONE),
+        ).astype(np.int8)
+        old = self._level[q]
+        moved = level != _NONE
+        self._level[q[moved]] = level[moved]
+        edge = moved & (old != _NONE) & (level != old)
+        self._last_edge[q[edge]] = f[edge]
+        return {
+            i: self._edge_event(ids[i], fi, level_i, v, mu)
+            for i, fi, level_i, v, mu in zip(
+                pos[edge].tolist(), f[edge].tolist(),
+                level[edge].tolist(), value[edge].tolist(),
+                mean[edge].tolist(),
+            )
+        }
+
+    def _edge_event(
+        self, block_id: int, f: int, level: int, value: float, mean: float
+    ) -> PhaseEdge:
+        return PhaseEdge(
+            block_id=block_id,
+            round_index=f,
+            time_s=self._round_time(f),
+            edge="wake" if level == _HIGH else "sleep",
+            value=value,
+            window_mean=mean,
+        )
+
+    def _ingest_one(self, block_id, time_s, value) -> None:
+        time_s = float(time_s)
+        value = float(value)
+        if not (isfinite(time_s) and isfinite(value)):
+            self._invalid(block_id, time_s, value)
+            return
+        config = self.config
+        x = (time_s - config.start_s) / config.round_s
+        # Python's round is round_index's rint (half to even) on one
+        # float; far outside int64 only numpy's cast gives the same r.
+        r = (
+            round(x) if abs(x) < 2.0**62
+            else int(round_index(time_s, config.round_s, config.start_s))
+        )
+        self._step(self._row(block_id), block_id, r, time_s, value)
+
+    def _invalid(self, block_id, time_s: float, value: float) -> None:
+        self._pending_invalid += 1
+        self._n_invalid += 1
+        self.events.warning(
+            "stream.invalid_observation",
+            block_id=block_id,
+            time_s=repr(float(time_s)),
+            value=repr(float(value)),
+        )
+
+    def _step(
+        self, q: int, block_id: int, r: int, time_s: float, value: float
+    ) -> None:
+        """The per-observation step for one valid observation of row ``q``."""
+        watermark = int(self._watermark[q])
+        if r < 0 or r <= watermark:
+            self._verdicts[q].n_late += 1
+            self._pending_late += 1
+            self.bus.publish(
+                LateObservation(
+                    block_id=block_id,
+                    round_index=r,
+                    time_s=time_s,
+                    value=value,
+                    lag_rounds=watermark - r,
+                )
+            )
+            self.events.warning(
+                "stream.late_drop",
+                block_id=block_id,
+                round_index=r,
+                lag_rounds=watermark - r,
+            )
+            return
+        lateness = self.config.lateness_rounds
+        if r >= self._ring.bases[q] + self._capacity:
+            # A jump ahead: freeze/close/evict everything that must
+            # precede this round so the ring has room for it.
+            self._advance(q, block_id, r - lateness - 1)
+        self._ring.observe(r, time_s, value, q)
+        self._n_obs[q] += 1
+        self._pending_ingested += 1
+        self._since_close += 1
+        if r > self._max_round[q]:
+            self._max_round[q] = r
+            # The newest round itself stays open (a same-round duplicate
+            # must still be able to revise it), so the watermark trails
+            # one round behind the lateness slack.
+            target = r - lateness - 1
+            if target > self._watermark[q]:
+                self._advance(q, block_id, target)
 
     def _round_time(self, r: int) -> float:
         return self.config.start_s + r * self.config.round_s
 
-    def _advance(self, state: _BlockState, block_id: int, target: int) -> None:
-        close_at = state.next_close_start + self.config.window_rounds - 1
-        for f in range(state.watermark + 1, target + 1):
-            self._freeze_round(state, block_id, f)
-            state.watermark = f
+    def _advance(self, q: int, block_id: int, target: int) -> None:
+        n = self.config.window_rounds
+        close_at = int(self._next_close[q]) + n - 1
+        for f in range(int(self._watermark[q]) + 1, target + 1):
+            self._freeze_round(q, block_id, f)
+            self._watermark[q] = f
             if f == close_at:
-                self._close_window(
-                    state, block_id, self.config.window_rounds, partial=False
-                )
-                close_at = (
-                    state.next_close_start + self.config.window_rounds - 1
-                )
+                self._close_window(q, block_id, n, partial=False)
+                close_at = int(self._next_close[q]) + n - 1
 
-    def _freeze_round(
-        self, state: _BlockState, block_id: int, f: int
-    ) -> None:
+    def _freeze_round(self, q: int, block_id: int, f: int) -> None:
         """Fix round ``f``'s held value and push it through the DFT."""
         n = self.config.window_rounds
-        raw = state.ring.value_at(f)
-        if np.isnan(raw):
-            filled = state.last_filled
+        raw = self._ring.value_at(f, q)
+        if raw != raw:
+            filled = float(self._last_filled[q])
         else:
             filled = raw
-            state.last_filled = raw
+            self._last_filled[q] = raw
         i = f % n
-        evicted = state.filled_ring[i]
-        state.filled_ring[i] = filled
-        entering_nan = np.isnan(filled)
-        evicted_nan = np.isnan(evicted)
-        state.dft.slide(
+        evicted = float(self._filled[q, i])
+        self._filled[q, i] = filled
+        entering_nan = filled != filled
+        evicted_nan = evicted != evicted
+        self._dft.slide(
             0.0 if entering_nan else filled,
             0.0 if evicted_nan else evicted,
+            q,
         )
-        state.trailing_missing += int(entering_nan) - int(evicted_nan)
-        state.n_frozen += 1
+        missing = int(self._trailing_missing[q]) + entering_nan - evicted_nan
+        self._trailing_missing[q] = missing
+        n_frozen = int(self._n_frozen[q]) + 1
+        self._n_frozen[q] = n_frozen
         self._pending_frozen += 1
-        if state.n_frozen % self._reseed_every == 0:
+        if n_frozen % self._reseed_every == 0:
             order = np.arange(f - n + 1, f + 1) % n
-            state.dft.reseed(
-                np.nan_to_num(state.filled_ring[order], nan=0.0)
+            self._dft.reseed(
+                np.nan_to_num(self._filled[q, order], nan=0.0), q
             )
             self._m.reseeds.inc()
-        if state.trailing_missing == 0 and not entering_nan:
-            self._phase_edge(state, block_id, f, filled)
+        if missing == 0 and not entering_nan:
+            self._phase_edge(q, block_id, f, filled)
 
-    def _phase_edge(
-        self, state: _BlockState, block_id: int, f: int, value: float
-    ) -> None:
-        mean = state.dft.mean()
+    def _phase_edge(self, q: int, block_id: int, f: int, value: float) -> None:
+        mean = self._dft.mean(q)
         if value > mean + self.config.edge_margin:
-            level = "high"
+            level = _HIGH
         elif value < mean - self.config.edge_margin:
-            level = "low"
+            level = _LOW
         else:
             return
-        if state.level is None:
-            state.level = level
+        old = self._level[q]
+        if old == _NONE:
+            self._level[q] = level
             return
-        if level != state.level:
-            state.level = level
-            state.last_edge_round = f
-            self.bus.publish(
-                PhaseEdge(
-                    block_id=block_id,
-                    round_index=f,
-                    time_s=self._round_time(f),
-                    edge="wake" if level == "high" else "sleep",
-                    value=value,
-                    window_mean=mean,
-                )
-            )
+        if level != old:
+            self._level[q] = level
+            self._last_edge[q] = f
+            self.bus.publish(self._edge_event(block_id, f, level, value, mean))
 
     def _close_window(
         self,
-        state: _BlockState,
+        q: int,
         block_id: int,
         n_rounds: int,
         partial: bool,
     ) -> None:
         if not (self._m.enabled or self.tracer.enabled):
-            self._close_window_impl(state, block_id, n_rounds, partial)
+            self._close_window_impl(q, block_id, n_rounds, partial)
             return
         with self.tracer.trace(
             "stream.close_window", block=block_id, partial=partial
         ):
             t0 = time.perf_counter()
-            self._close_window_impl(state, block_id, n_rounds, partial)
+            self._close_window_impl(q, block_id, n_rounds, partial)
             self._m.close_seconds.observe(time.perf_counter() - t0)
         self._m.ingest_rate.observe(self._since_close)
         self._since_close = 0
@@ -735,17 +1019,18 @@ class StreamEngine:
 
     def _close_window_impl(
         self,
-        state: _BlockState,
+        q: int,
         block_id: int,
         n_rounds: int,
         partial: bool,
     ) -> None:
-        w_start = state.next_close_start
-        values, quality = state.ring.materialize(
+        w_start = int(self._next_close[q])
+        values, quality = self._ring.materialize(
             w_start,
             n_rounds,
             policy=self.config.fill_policy,
             max_gap=self.config.max_fill_gap,
+            row=q,
         )
         try:
             report = classify_series(
@@ -771,8 +1056,9 @@ class StreamEngine:
                 partial=partial,
             )
         )
-        state.last_report = report
-        state.n_closed += 1
+        verdict = self._verdicts[q]
+        verdict.last_report = report
+        verdict.n_closed += 1
         (self._m.partial_closes if partial else self._m.closes).inc()
         self.events.debug(
             "stream.window_closed",
@@ -782,24 +1068,23 @@ class StreamEngine:
             partial=partial,
             label=report.label.value,
         )
-        self._quality_events(state, block_id, end_round, report, quality)
-        self._hysteresis(state, block_id, end_round, report)
-        state.next_close_start = (
-            end_round + 1 if partial else w_start + self.config.hop
-        )
-        state.ring.advance_base(state.next_close_start)
+        self._quality_events(verdict, block_id, end_round, report, quality)
+        self._hysteresis(verdict, block_id, end_round, report)
+        next_start = end_round + 1 if partial else w_start + self.config.hop
+        self._next_close[q] = next_start
+        self._ring.advance_base(next_start, q)
 
     def _quality_events(
         self,
-        state: _BlockState,
+        verdict: _Verdict,
         block_id: int,
         end_round: int,
         report: DiurnalReport,
         quality: QualityReport,
     ) -> None:
         degraded_now = not report.is_classified
-        if degraded_now and not state.degraded:
-            state.degraded = True
+        if degraded_now and not verdict.degraded:
+            verdict.degraded = True
             if quality.n_observed == 0:
                 reason = "no observations in window"
             elif not quality.usable(
@@ -827,8 +1112,8 @@ class StreamEngine:
                 end_round=end_round,
                 reason=reason,
             )
-        elif not degraded_now and state.degraded:
-            state.degraded = False
+        elif not degraded_now and verdict.degraded:
+            verdict.degraded = False
             self.bus.publish(
                 QualityRestored(
                     block_id=block_id,
@@ -845,7 +1130,7 @@ class StreamEngine:
 
     def _hysteresis(
         self,
-        state: _BlockState,
+        verdict: _Verdict,
         block_id: int,
         end_round: int,
         report: DiurnalReport,
@@ -874,28 +1159,28 @@ class StreamEngine:
                 dwell=dwell,
             )
 
-        if state.stable_label is None:
-            state.stable_label = label
-            state.stable_run = 1
+        if verdict.stable_label is None:
+            verdict.stable_label = label
+            verdict.stable_run = 1
             publish(None, 1)
-        elif label == state.stable_label:
-            state.candidate = None
-            state.candidate_count = 0
-            state.stable_run += 1
+        elif label == verdict.stable_label:
+            verdict.candidate = None
+            verdict.candidate_count = 0
+            verdict.stable_run += 1
         else:
-            state.stable_run = 0
-            if label == state.candidate:
-                state.candidate_count += 1
+            verdict.stable_run = 0
+            if label == verdict.candidate:
+                verdict.candidate_count += 1
             else:
-                state.candidate = label
-                state.candidate_count = 1
-            if state.candidate_count >= self.config.label_dwell:
-                old = state.stable_label
-                state.stable_label = label
-                state.stable_run = 1
-                publish(old, state.candidate_count)
-                state.candidate = None
-                state.candidate_count = 0
+                verdict.candidate = label
+                verdict.candidate_count = 1
+            if verdict.candidate_count >= self.config.label_dwell:
+                old = verdict.stable_label
+                verdict.stable_label = label
+                verdict.stable_run = 1
+                publish(old, verdict.candidate_count)
+                verdict.candidate = None
+                verdict.candidate_count = 0
 
 
 def batch_window_report(

@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 _MAGIC = b"RPWJ"
+# Records per ``ingest_batch`` call when replaying a journal.
+_REPLAY_CHUNK = 65536
 _VERSION = 1
 _HEADER = struct.Struct("<4sHH")
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
@@ -430,13 +432,14 @@ def replay_journal(
 ) -> int:
     """Replay journaled observations into an engine, idempotently.
 
-    ``engine`` is duck-typed: anything with ``ingest(block_id, time_s,
-    value)``.  Only records with ``seq > after_seq`` are applied, in
-    sequence order, so resuming a replay from the last sequence number
-    the engine durably processed never applies a record twice — and
-    replaying the same journal into the same engine again with the
-    returned value is a no-op.  Returns the last applied sequence
-    number (``after_seq`` when nothing new was found).
+    ``engine`` is duck-typed: anything with ``ingest_batch(block_ids,
+    times, values)``.  Only records with ``seq > after_seq`` are
+    applied, in sequence order and in seq-ordered chunks of at most
+    ``_REPLAY_CHUNK`` records, so resuming a replay from the last
+    sequence number the engine durably processed never applies a record
+    twice — and replaying the same journal into the same engine again
+    with the returned value is a no-op.  Returns the last applied
+    sequence number (``after_seq`` when nothing new was found).
 
     ``retry`` applies a :class:`~repro.core.retry.RetryPolicy` to the
     journal *read* (transient :class:`OSError` only); the replay itself
@@ -449,12 +452,22 @@ def replay_journal(
         records, _ = retry.call(
             lambda: read_journal(path), retry_on=(OSError,)
         )
-    last = after_seq
-    for record in records:
-        if record.seq <= last:
-            m.skipped.inc()
-            continue
-        engine.ingest(record.block_id, record.time_s, record.value)
-        m.replayed.inc()
-        last = record.seq
-    return last
+    if not records:
+        return after_seq
+    seqs = np.fromiter((r.seq for r in records), dtype=np.int64,
+                       count=len(records))
+    # A record applies when its seq beats every seq before it (and
+    # ``after_seq``): exactly the records a one-at-a-time replay that
+    # tracks the last applied seq would apply.
+    floor = np.maximum.accumulate(np.concatenate([[after_seq], seqs[:-1]]))
+    apply = np.flatnonzero(seqs > floor)
+    m.skipped.inc(len(records) - len(apply))
+    for lo in range(0, len(apply), _REPLAY_CHUNK):
+        chunk = [records[i] for i in apply[lo: lo + _REPLAY_CHUNK]]
+        engine.ingest_batch(
+            [r.block_id for r in chunk],
+            [r.time_s for r in chunk],
+            [r.value for r in chunk],
+        )
+        m.replayed.inc(len(chunk))
+    return int(seqs[apply[-1]]) if len(apply) else after_seq

@@ -40,10 +40,10 @@ publishes a :class:`~repro.stream.events.ShedDegraded` event naming how
 many observations the shedder took from that window.  Windows the
 shedder did not touch keep exact bit-for-bit batch parity.
 
-The controller is a drop-in engine: ``ingest``/``ingest_many``/``flush``
-delegate straight through when the queue is empty (the unloaded hot
-path is two integer increments and one branch), so
-:meth:`~repro.core.pipeline.BatchResult.replay_into` and
+The controller is a drop-in engine: ``ingest``/``ingest_batch``/
+``ingest_many``/``flush`` delegate straight through when the queue is
+empty (the unloaded hot path is two integer increments and one branch),
+so :meth:`~repro.core.pipeline.BatchResult.replay_into` and
 :func:`~repro.stream.journal.replay_journal` work unchanged against it.
 """
 
@@ -187,15 +187,17 @@ class AdmissionController:
 
     Two usage modes:
 
-    * **decoupled** (overload-capable): producers call :meth:`submit`,
-      a service loop calls :meth:`pump` with whatever per-cycle budget
-      the hardware affords.  The queue absorbs bursts, backpressure
-      tells producers to pause, and overflow sheds deterministically.
-    * **drop-in** (synchronous): :meth:`ingest`/:meth:`ingest_many`/
-      :meth:`flush` mirror :class:`~repro.stream.engine.StreamEngine`,
-      delegating directly when the queue is empty — replay helpers and
-      journals that expect an engine work unchanged, at near-zero
-      overhead while unloaded.
+    * **decoupled** (overload-capable): producers call :meth:`submit`
+      or :meth:`submit_batch`, a service loop calls :meth:`pump` with
+      whatever per-cycle budget the hardware affords.  The queue
+      absorbs bursts, backpressure tells producers to pause, and
+      overflow sheds deterministically.
+    * **drop-in** (synchronous): :meth:`ingest`/:meth:`ingest_batch`/
+      :meth:`ingest_many`/:meth:`flush` mirror
+      :class:`~repro.stream.engine.StreamEngine`, delegating directly
+      when the queue is empty — replay helpers and journals that
+      expect an engine work unchanged, at near-zero overhead while
+      unloaded.
 
     ``metrics``/``events`` attach the usual registry/structured log;
     verdict-affecting behavior (what is shed, when) never depends on
@@ -214,7 +216,13 @@ class AdmissionController:
         self.metrics = NULL_REGISTRY if metrics is None else metrics
         self.events = NULL_EVENT_LOG if events is None else events
         self._m = _OverloadMetrics(self.metrics)
+        # Queued observations as chunks of aligned columns (seqs, block
+        # ids, times, values): arrays for a batch submit, lists for
+        # per-observation submits; ``_head`` is how much of the first
+        # chunk has been serviced.
         self._queue: deque = deque()
+        self._head = 0
+        self._depth = 0
         self._paused = False
         self._seq = 0
         self.n_submitted = 0
@@ -247,8 +255,52 @@ class AdmissionController:
         """
         self._seq += 1
         self.n_submitted += 1
-        self._queue.append((self._seq, block_id, float(time_s), float(value)))
-        depth = len(self._queue)
+        queue = self._queue
+        if not queue or not isinstance(queue[-1][0], list):
+            queue.append(([], [], [], []))
+        seqs, ids, times, values = queue[-1]
+        seqs.append(self._seq)
+        ids.append(block_id)
+        times.append(float(time_s))
+        values.append(float(value))
+        self._depth += 1
+        self._admitted()
+
+    def submit_batch(self, block_ids, times, values) -> None:
+        """Enqueue a batch in arrival order, exactly like one
+        :meth:`submit` per observation.
+
+        The batch goes in as slices that end where a per-observation
+        submit would engage backpressure or overflow into a shed
+        episode, so both happen at the same depth with the same queue.
+        """
+        ids = np.asarray(block_ids, dtype=np.int64)
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if not ids.shape == times.shape == values.shape or ids.ndim != 1:
+            raise ValueError(
+                "block_ids, times and values must be aligned 1-d arrays"
+            )
+        start, m = 0, len(ids)
+        while start < m:
+            k = min(m - start, self.config.capacity + 1 - self._depth)
+            if not self._paused:
+                k = min(k, self._high - self._depth)
+            k = max(k, 1)
+            stop = start + k
+            seqs = np.arange(self._seq + 1, self._seq + 1 + k, dtype=np.int64)
+            self._queue.append(
+                (seqs, ids[start:stop], times[start:stop], values[start:stop])
+            )
+            self._seq += k
+            self.n_submitted += k
+            self._depth += k
+            self._admitted()
+            start = stop
+
+    def _admitted(self) -> None:
+        """Depth bookkeeping after appending: engage, then shed."""
+        depth = self._depth
         if depth > self.max_depth:
             self.max_depth = depth
         if depth >= self._high and not self._paused:
@@ -259,25 +311,43 @@ class AdmissionController:
     def pump(self, budget: int | None = None) -> int:
         """Service up to ``budget`` queued observations into the engine.
 
-        ``None`` drains everything.  Releases backpressure when the
-        drain brings the queue to or below the low watermark.  Returns
-        the number of observations ingested.
+        ``None`` drains everything.  The serviced prefix reaches the
+        engine as one :meth:`StreamEngine.ingest_batch` call.  Releases
+        backpressure when the drain brings the queue to or below the
+        low watermark.  Returns the number of observations ingested.
         """
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
-        queue = self._queue
-        n = len(queue) if budget is None else min(budget, len(queue))
-        ingest = self.engine.ingest
-        for _ in range(n):
-            _, block_id, time_s, value = queue.popleft()
-            ingest(block_id, time_s, value)
+        n = self._depth if budget is None else min(budget, self._depth)
+        if n:
+            self.engine.ingest_batch(*self._pop(n))
         self.n_serviced += n
-        depth = len(queue)
-        if self._paused and depth <= self._low:
-            self._release(depth)
+        self._depth -= n
+        if self._paused and self._depth <= self._low:
+            self._release(self._depth)
         if n:
             self._sync()
         return n
+
+    def _pop(self, n: int):
+        """Remove the oldest ``n`` queued observations: (ids, times, values)."""
+        queue = self._queue
+        parts = []
+        while n:
+            chunk = queue[0]
+            size = len(chunk[0]) - self._head
+            take = min(size, n)
+            lo, hi = self._head, self._head + take
+            parts.append([column[lo:hi] for column in chunk[1:]])
+            if take == size:
+                queue.popleft()
+                self._head = 0
+            else:
+                self._head = hi
+            n -= take
+        if len(parts) == 1:
+            return parts[0]
+        return [np.concatenate(column) for column in zip(*parts)]
 
     def backpressure(self) -> bool:
         """The admission signal producers honor by pausing production."""
@@ -289,7 +359,7 @@ class AdmissionController:
 
     @property
     def depth(self) -> int:
-        return len(self._queue)
+        return self._depth
 
     # -- drop-in engine interface ------------------------------------------
 
@@ -301,7 +371,7 @@ class AdmissionController:
         with queued observations it preserves arrival order by going
         through the queue and draining it.
         """
-        if self._queue:
+        if self._depth:
             self.submit(block_id, time_s, value)
             self.pump()
             return
@@ -310,14 +380,27 @@ class AdmissionController:
         self.n_serviced += 1
         self.engine.ingest(block_id, time_s, value)
 
+    def ingest_batch(self, block_ids, times, values) -> None:
+        """Synchronous drop-in for ``StreamEngine.ingest_batch``."""
+        if self._depth:
+            self.submit_batch(block_ids, times, values)
+            self.pump()
+            return
+        n = len(times)
+        self._seq += n
+        self.n_submitted += n
+        self.n_serviced += n
+        self.engine.ingest_batch(block_ids, times, values)
+
     def ingest_many(self, block_id: int, times, values) -> None:
         """Feed a batch for one block, in arrival order (drop-in)."""
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         if times.shape != values.shape:
             raise ValueError("times and values must have the same shape")
-        for t, v in zip(times, values):
-            self.ingest(block_id, float(t), float(v))
+        self.ingest_batch(
+            np.full(times.shape, block_id, dtype=np.int64), times, values
+        )
 
     def flush(
         self, block_id: int | None = None, close_partial: bool = False
@@ -350,7 +433,7 @@ class AdmissionController:
             "n_episodes": self.n_episodes,
             "n_engagements": self.n_engagements,
             "shed_ratio": self.shed_ratio,
-            "depth": len(self._queue),
+            "depth": self._depth,
             "max_depth": self.max_depth,
             "paused": self._paused,
         }
@@ -368,7 +451,7 @@ class AdmissionController:
             self._m.serviced.inc(d)
             self._synced_serviced = self.n_serviced
         if self._m.enabled:
-            self._m.depth.set(len(self._queue))
+            self._m.depth.set(self._depth)
             self._m.shed_ratio.set(self.shed_ratio)
 
     def _engage(self, depth: int) -> None:
@@ -443,16 +526,25 @@ class AdmissionController:
         return tier, h, r
 
     def _shed_episode(self) -> None:
-        entries = list(self._queue)
+        entries = []
+        for i, chunk in enumerate(self._queue):
+            lo = self._head if i == 0 else 0
+            columns = [
+                column[lo:].tolist() if isinstance(column, np.ndarray)
+                else column[lo:]
+                for column in chunk
+            ]
+            entries.extend(zip(*columns))
         depth_before = len(entries)
         n_drop = depth_before - self._low
         memo: dict = {}
         keys = [self._score(entry, memo) for entry in entries]
         order = sorted(range(depth_before), key=keys.__getitem__)
         drop = set(order[:n_drop])
-        self._queue = deque(
-            entry for i, entry in enumerate(entries) if i not in drop
-        )
+        kept = [entry for i, entry in enumerate(entries) if i not in drop]
+        self._queue = deque([tuple(map(list, zip(*kept)))] if kept else [])
+        self._head = 0
+        self._depth = len(kept)
         tier_counts = [0, 0, 0]
         publish = self.engine.bus.publish
         for i in sorted(drop):
@@ -497,7 +589,7 @@ class AdmissionController:
             "stream.shed",
             n_shed=n_drop,
             depth_before=depth_before,
-            depth_after=len(self._queue),
+            depth_after=self._depth,
             tier0=tier_counts[0],
             tier1=tier_counts[1],
             tier2=tier_counts[2],

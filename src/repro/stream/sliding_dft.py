@@ -14,23 +14,32 @@ samples ``x[0..n-1]`` (oldest first), ``X_k = Σ x[i]·e^{−2πjk·i/n}``, so
 amplitudes and phases agree with :class:`repro.core.spectral.Spectrum`.
 
 Floating-point drift from the repeated rotations is bounded by periodic
-:meth:`SlidingDFT.reseed` from the exact Goertzel transform; the engine
-reseeds once per window length by default.
+:meth:`SlidingDFT.reseed` from the exact Goertzel transform (its basis is
+computed once per tracker); the engine reseeds once per window length by
+default.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.spectral import goertzel
+from repro.core.spectral import goertzel_basis
+from repro.stream.window import grow_rows
 
 __all__ = ["SlidingDFT"]
 
 
 class SlidingDFT:
-    """Tracked DFT coefficients over a sliding window of ``n`` samples."""
+    """Tracked DFT coefficients over sliding windows of ``n`` samples.
 
-    def __init__(self, n: int, bins) -> None:
+    Row-batched: ``table[q]`` holds row ``q``'s coefficients, so the
+    engine slides every block's window with one recurrence
+    (:meth:`slide_rows`).  The scalar methods take a ``row`` (default
+    0); a one-row tracker is the plain single-window DFT and
+    :attr:`coefficients` is row 0.
+    """
+
+    def __init__(self, n: int, bins, rows: int = 1) -> None:
         if n < 2:
             raise ValueError("window must span at least 2 samples")
         bins = np.unique(np.asarray(bins, dtype=np.int64))
@@ -45,26 +54,50 @@ class SlidingDFT:
         self.bins = bins
         self._index = {int(k): i for i, k in enumerate(bins)}
         self._rotation = np.exp(2j * np.pi * bins / n)
-        self.coefficients = np.zeros(len(bins), dtype=np.complex128)
+        self._basis: np.ndarray | None = None
+        self.table = np.empty((0, len(bins)), dtype=np.complex128)
+        self.grow(rows)
+        self.table[:rows] = 0
         self.n_slides = 0
 
     @property
     def n_tracked(self) -> int:
         return len(self.bins)
 
-    def slide(self, entering: float, evicted: float = 0.0) -> None:
-        """Advance the window one sample: O(tracked bins).
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Row 0's coefficients (the single-window view)."""
+        return self.table[0]
+
+    def grow(self, n_rows: int) -> None:
+        """Make room for ``n_rows`` rows; zero new rows before use."""
+        if n_rows > len(self.table):
+            self.table = grow_rows(self.table, n_rows)
+
+    def slide(self, entering: float, evicted: float = 0.0, row: int = 0) -> None:
+        """Advance one window one sample: O(tracked bins).
 
         ``entering`` is the newest sample; ``evicted`` the sample falling
         off the old end (0 while the window is still priming, matching a
         zero-padded history).
         """
-        self.coefficients = (
-            self.coefficients - evicted + entering
-        ) * self._rotation
+        self.table[row] = (self.table[row] - evicted + entering) * self._rotation
         self.n_slides += 1
 
-    def adjust(self, offset: int, delta: float) -> None:
+    def slide_rows(
+        self, rows: np.ndarray, entering: np.ndarray, evicted: np.ndarray
+    ) -> None:
+        """:meth:`slide` for many distinct rows with one recurrence.
+
+        Element for element the same operations as :meth:`slide`, so the
+        coefficients are bitwise equal to sliding each row alone.
+        """
+        self.table[rows] = (
+            self.table[rows] - evicted[:, None] + entering[:, None]
+        ) * self._rotation
+        self.n_slides += len(rows)
+
+    def adjust(self, offset: int, delta: float, row: int = 0) -> None:
         """Apply a correction ``delta`` at window position ``offset``.
 
         ``offset`` counts from the oldest retained sample (0) to the
@@ -73,11 +106,11 @@ class SlidingDFT:
         """
         if not 0 <= offset < self.n:
             raise ValueError(f"offset {offset} outside window of {self.n}")
-        self.coefficients = self.coefficients + delta * np.exp(
+        self.table[row] = self.table[row] + delta * np.exp(
             -2j * np.pi * self.bins * offset / self.n
         )
 
-    def reseed(self, values: np.ndarray) -> None:
+    def reseed(self, values: np.ndarray, row: int = 0) -> None:
         """Recompute exactly from the full window (drift control).
 
         ``values`` must be the current window contents, oldest first,
@@ -89,22 +122,23 @@ class SlidingDFT:
             raise ValueError(
                 f"reseed needs exactly {self.n} samples, got {len(values)}"
             )
-        self.coefficients = goertzel(values, self.bins)
+        if self._basis is None:
+            self._basis = goertzel_basis(self.n, self.bins)
+        # Bitwise the Goertzel transform of ``values`` at the tracked bins.
+        self.table[row] = self._basis @ values
 
-    def coefficient(self, k: int) -> complex:
-        return complex(self.coefficients[self._index[int(k)]])
+    def coefficient(self, k: int, row: int = 0) -> complex:
+        return complex(self.table[row, self._index[int(k)]])
 
-    def amplitude(self, k: int) -> float:
-        return abs(self.coefficient(k))
+    def amplitude(self, k: int, row: int = 0) -> float:
+        return abs(self.coefficient(k, row))
 
-    def amplitudes(self, bins) -> np.ndarray:
-        return np.abs(
-            self.coefficients[[self._index[int(k)] for k in bins]]
-        )
+    def amplitudes(self, bins, row: int = 0) -> np.ndarray:
+        return np.abs(self.table[row, [self._index[int(k)] for k in bins]])
 
-    def phase(self, k: int) -> float:
-        return float(np.angle(self.coefficient(k)))
+    def phase(self, k: int, row: int = 0) -> float:
+        return float(np.angle(self.coefficient(k, row)))
 
-    def mean(self) -> float:
+    def mean(self, row: int = 0) -> float:
         """Window mean, read from the DC bin (bin 0 must be tracked)."""
-        return self.coefficient(0).real / self.n
+        return self.coefficient(0, row).real / self.n

@@ -26,13 +26,15 @@ def write_records(path, n, start_seq_check=True):
 
 
 class RecordingEngine:
-    """Duck-typed ingest target that remembers every observation."""
+    """Duck-typed batch ingest target that remembers every observation."""
 
     def __init__(self):
         self.seen = []
+        self.batches = []
 
-    def ingest(self, block_id, time_s, value):
-        self.seen.append((block_id, time_s, value))
+    def ingest_batch(self, block_ids, times, values):
+        self.batches.append(len(block_ids))
+        self.seen.extend(zip(block_ids, times, values))
 
 
 class TestRoundTrip:

@@ -164,6 +164,28 @@ def test_error_statuses(harness):
         "POST", "/observations", {"observations": [[1, 2]]}
     )
     assert status == 400
+    for bad in (
+        ["x", 0, 0],         # block id not an integer
+        [2**64, 0, 0.5],     # block id outside int64
+        [1.7, 0, 0.5],       # float block id
+        [True, 0, 0.5],      # bool block id
+        [1, "5", 0.5],       # string time
+        [1, None, 0.5],      # null time
+        [1, 0, None],        # null value
+        [1, 10**400, 0.5],   # integer time too large for a float
+        {"b": 1},            # not a triple
+    ):
+        status, body, _ = harness.request(
+            "POST", "/observations", {"observations": [[1, 0.0, 0.5], bad]}
+        )
+        assert status == 400, (bad, status, body)
+        assert "observation 1" in body["error"]
+    # Non-finite numbers are numbers: accepted, then counted invalid.
+    status, body, _ = harness.request(
+        "POST", "/observations",
+        {"observations": [[1, float("nan"), 0.5], [1, 0, float("inf")]]},
+    )
+    assert status == 200 and body["accepted"] == 2
     status, body, _ = harness.request("GET", "/no/such/route")
     assert status == 404
     status, body, _ = harness.request("GET", "/observations")

@@ -181,6 +181,53 @@ class TestStationarity:
         assert linear_slope(np.ones(5), np.arange(5.0)) == 0.0
 
 
+def fill_missing_reference(values, max_gap):
+    """The hold rule as a plain loop over rounds."""
+    values = np.array(values, dtype=np.float64)
+    isnan = np.isnan(values)
+    n_filled = 0
+    first_valid = int(np.flatnonzero(~isnan)[0])
+    if 0 < first_valid <= max_gap:
+        values[:first_valid] = values[first_valid]
+        n_filled += first_valid
+    gap = 0
+    last = values[first_valid]
+    for i in range(first_valid, len(values)):
+        if np.isnan(values[i]):
+            gap += 1
+            if gap <= max_gap:
+                values[i] = last
+                n_filled += 1
+        else:
+            last = values[i]
+            gap = 0
+    return values, n_filled
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    series=st.lists(
+        st.one_of(
+            st.just(float("nan")),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    max_gap=st.integers(0, 8),
+)
+def test_fill_missing_matches_plain_loop(series, max_gap):
+    values = np.array(series)
+    if np.isnan(values).all():
+        with pytest.raises(ValueError, match="no observations"):
+            fill_missing(values, max_gap=max_gap)
+        return
+    filled, n_filled = fill_missing(values, max_gap=max_gap)
+    want, want_filled = fill_missing_reference(values, max_gap)
+    np.testing.assert_array_equal(filled, want)
+    assert n_filled == want_filled
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=400),
