@@ -10,6 +10,7 @@ from repro.core.estimator import (
     DirectEwmaEstimator,
     EstimatorConfig,
     RestartPolicy,
+    _CHUNK_ROUNDS,
     estimate_series,
 )
 
@@ -164,21 +165,28 @@ class TestDirectEwmaBias:
         assert est.a_short == est.config.initial_availability
 
 
+SERIES_FIELDS = ("a_short", "a_long", "a_operational", "deviation")
+
+
+def assert_matches_streaming(batch, positives, totals, cfg=None, restarts=()):
+    """Every batch series equals streaming ``AvailabilityEstimator`` bit for bit."""
+    for b in range(positives.shape[0]):
+        est = AvailabilityEstimator(cfg)
+        for r in range(positives.shape[1]):
+            if r in restarts:
+                est.restart()
+            est.observe(int(positives[b, r]), int(totals[b, r]))
+            for name in SERIES_FIELDS:
+                assert getattr(batch, name)[b, r] == getattr(est, name), (name, b, r)
+
+
 class TestVectorized:
     def test_matches_streaming_exactly(self):
         rng = np.random.default_rng(3)
         totals = rng.integers(0, 16, size=(4, 300))
         positives = np.minimum(rng.integers(0, 2, size=(4, 300)), totals)
         batch = estimate_series(positives, totals)
-        for b in range(4):
-            est = AvailabilityEstimator()
-            for r in range(300):
-                est.observe(int(positives[b, r]), int(totals[b, r]))
-                assert batch.a_short[b, r] == pytest.approx(est.a_short, rel=1e-12)
-                assert batch.a_long[b, r] == pytest.approx(est.a_long, rel=1e-12)
-                assert batch.a_operational[b, r] == pytest.approx(
-                    est.a_operational, rel=1e-12
-                )
+        assert_matches_streaming(batch, positives, totals)
 
     def test_matches_streaming_with_restarts(self):
         cfg = EstimatorConfig(
@@ -189,16 +197,17 @@ class TestVectorized:
         positives = (rng.random((2, 100)) < 0.5).astype(int)
         restarts = np.array([30, 60])
         batch = estimate_series(positives, totals, cfg, restart_rounds=restarts)
-        for b in range(2):
-            est = AvailabilityEstimator(cfg)
-            for r in range(100):
-                if r in restarts:
-                    est.restart()
-                est.observe(int(positives[b, r]), int(totals[b, r]))
-                assert batch.a_short[b, r] == pytest.approx(est.a_short, rel=1e-12)
-                assert batch.a_operational[b, r] == pytest.approx(
-                    est.a_operational, rel=1e-12
-                )
+        assert_matches_streaming(batch, positives, totals, cfg, restarts.tolist())
+
+    @pytest.mark.parametrize("flag", ["reset_short", "reset_long", "reset_deviation"])
+    def test_matches_streaming_with_each_reset(self, flag):
+        cfg = EstimatorConfig(restart=RestartPolicy(**{flag: True}))
+        rng = np.random.default_rng(5)
+        totals = rng.integers(0, 16, size=(3, 400))
+        positives = np.minimum(rng.integers(0, 2, size=(3, 400)), totals)
+        restarts = [0, 63, 64, 200, 399]
+        batch = estimate_series(positives, totals, cfg, restart_rounds=restarts)
+        assert_matches_streaming(batch, positives, totals, cfg, restarts)
 
     def test_1d_input_gives_1d_output(self):
         series = estimate_series(np.array([1, 0, 1]), np.array([1, 1, 2]))
@@ -207,6 +216,146 @@ class TestVectorized:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_series(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_rejects_nan_initial_availability(self):
+        with pytest.raises(ValueError, match="initial_availability"):
+            estimate_series([1, 0], [1, 1], initial_availability=[np.nan])
+
+    @pytest.mark.parametrize("p, t", [([5, -1], [2, 3]), ([1, 4], [1, 3])])
+    def test_rejects_counts_streaming_rejects(self, p, t):
+        est = AvailabilityEstimator()
+        with pytest.raises(ValueError, match="bad counts"):
+            for p_r, t_r in zip(p, t):
+                est.observe(p_r, t_r)
+        with pytest.raises(ValueError, match="bad counts"):
+            estimate_series(p, t)
+
+    def test_idle_rounds_accept_any_positives(self):
+        # Rounds with t <= 0 are no-ops, as in streaming, whatever p says.
+        series = estimate_series([3, -1, 1], [0, -2, 1])
+        est = AvailabilityEstimator()
+        for p, t in [(3, 0), (-1, -2), (1, 1)]:
+            est.observe(p, t)
+        assert series.a_short[-1] == est.a_short
+        assert series.deviation[-1] == est.deviation
+
+    def test_empty_inputs_keep_their_shapes(self):
+        assert estimate_series([], []).a_short.shape == (0,)
+        assert estimate_series(np.zeros((3, 0)), np.zeros((3, 0))).a_long.shape == (3, 0)
+        assert estimate_series(np.zeros((0, 5)), np.zeros((0, 5))).deviation.shape == (0, 5)
+
+
+def reference_estimate_series(positives, totals, config, restart_rounds, a0):
+    """The per-round masked loop the chunked kernel replaced (oracle)."""
+    cfg = config
+    p_in = np.atleast_2d(np.asarray(positives, dtype=np.float64))
+    t_in = np.atleast_2d(np.asarray(totals, dtype=np.float64))
+    n_blocks, n_rounds = p_in.shape
+    restarts = set(np.asarray(restart_rounds, dtype=np.int64).tolist())
+    w0 = cfg.initial_weight
+    a0 = np.broadcast_to(np.asarray(a0, dtype=np.float64), (n_blocks,)).copy()
+    p_s = a0 * w0
+    t_s = np.full(n_blocks, w0)
+    p_l = p_s.copy()
+    t_l = t_s.copy()
+    dev = np.full(n_blocks, cfg.initial_deviation)
+    out = {name: np.empty((n_blocks, n_rounds)) for name in SERIES_FIELDS}
+    a_s, a_l = cfg.alpha_short, cfg.alpha_long
+    for r in range(n_rounds):
+        if r in restarts:
+            if cfg.restart.reset_short:
+                p_s[:] = a0 * w0
+                t_s[:] = w0
+            if cfg.restart.reset_long:
+                p_l[:] = a0 * w0
+                t_l[:] = w0
+            if cfg.restart.reset_deviation:
+                dev[:] = cfg.initial_deviation
+        p = p_in[:, r]
+        t = t_in[:, r]
+        active = t > 0
+        p_s[active] = a_s * p[active] + (1 - a_s) * p_s[active]
+        t_s[active] = a_s * t[active] + (1 - a_s) * t_s[active]
+        p_l[active] = a_l * p[active] + (1 - a_l) * p_l[active]
+        t_l[active] = a_l * t[active] + (1 - a_l) * t_l[active]
+        ratio_l = p_l / t_l
+        sample = np.zeros(n_blocks)
+        np.divide(p, t, out=sample, where=active)
+        dev[active] = (
+            a_l * np.abs(ratio_l[active] - sample[active]) + (1 - a_l) * dev[active]
+        )
+        out["a_short"][:, r] = p_s / t_s
+        out["a_long"][:, r] = ratio_l
+        out["deviation"][:, r] = dev
+        out["a_operational"][:, r] = np.maximum(
+            ratio_l - cfg.deviation_margin * dev, cfg.operational_floor
+        )
+    return out
+
+
+CHUNK = _CHUNK_ROUNDS
+
+
+@st.composite
+def kernel_cases(draw):
+    n_blocks = draw(st.integers(1, 4))
+    n_rounds = draw(
+        st.one_of(
+            st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]),
+            st.integers(0, 3 * CHUNK + 5),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    totals = rng.integers(0, 16, (n_blocks, n_rounds))
+    totals[:, rng.random(n_rounds) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = 0
+    positives = rng.integers(0, totals + 1)
+    dtype = draw(st.sampled_from([np.int16, np.int64, np.uint8, np.float32, np.float64]))
+    positives = positives.astype(dtype)
+    totals = totals.astype(dtype)
+    if np.dtype(dtype).kind == "f" and draw(st.booleans()):
+        # Float counts may mark idle rounds with non-finite values, and a
+        # NaN count on an active round poisons the state, as in streaming.
+        idle = totals <= 0
+        positives[idle] = np.nan
+        totals[idle & (rng.random(totals.shape) < 0.5)] = -np.inf
+        positives[~idle & (rng.random(totals.shape) < 0.02)] = np.nan
+    edges = [0, n_rounds - 1, CHUNK - 1, CHUNK, 2 * CHUNK, n_rounds, -1]
+    restarts = draw(
+        st.lists(
+            st.one_of(st.sampled_from(edges), st.integers(0, max(n_rounds - 1, 0))),
+            max_size=6,
+        )
+    )
+    policy = RestartPolicy(draw(st.booleans()), draw(st.booleans()), draw(st.booleans()))
+    cfg = EstimatorConfig(restart=policy)
+    a0 = cfg.initial_availability
+    if draw(st.booleans()):
+        a0 = rng.uniform(0.0, 1.0, n_blocks)
+    one_d = n_blocks == 1 and draw(st.booleans())
+    return positives, totals, cfg, restarts, a0, one_d
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_cases())
+def test_chunked_kernel_matches_reference_loop_bitwise(case):
+    positives, totals, cfg, restarts, a0, one_d = case
+    expected = reference_estimate_series(positives, totals, cfg, restarts, a0)
+    if one_d:
+        positives, totals = positives[0], totals[0]
+    got = estimate_series(
+        positives, totals, cfg, restart_rounds=restarts, initial_availability=a0
+    )
+    for name in SERIES_FIELDS:
+        want = expected[name][0] if one_d else expected[name]
+        have = getattr(got, name)
+        assert have.shape == want.shape, name
+        assert have.dtype == np.float64, name
+        assert canonical_bits(have) == canonical_bits(want), name
+
+
+def canonical_bits(array):
+    """The array's bytes with every NaN in one canonical encoding."""
+    return np.where(np.isnan(array), np.nan, array).tobytes()
 
 
 @settings(max_examples=30, deadline=None)

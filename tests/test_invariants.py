@@ -44,10 +44,10 @@ def test_vectorized_estimator_matches_scalar_everywhere(counts):
     est = AvailabilityEstimator()
     for r in range(len(counts)):
         est.observe(int(positives[r]), int(totals[r]))
-        assert batch.a_short[r] == pytest.approx(est.a_short, rel=1e-12)
-        assert batch.a_operational[r] == pytest.approx(
-            est.a_operational, rel=1e-12
-        )
+        assert batch.a_short[r] == est.a_short
+        assert batch.a_long[r] == est.a_long
+        assert batch.a_operational[r] == est.a_operational
+        assert batch.deviation[r] == est.deviation
 
 
 @settings(max_examples=20, deadline=None)
