@@ -7,16 +7,22 @@ rounds in cache-sized chunks with per-round gain arrays instead of the
 per-round masked update it replaced, so this benchmark checks both
 claims on one world: the chunked kernel equals the masked per-round loop
 bit for bit on all four series, and the whole pipeline's rate in blocks
-per second (recorded in the perf trajectory).
+per second (recorded in the perf trajectory).  Each layer also spreads
+its rows over the row pool's threads, one per CPU in the affinity mask;
+the world is measured with the pool forced down to one worker and at the
+machine's count, and the two must agree bit for bit.
 
 The table lists the time of each layer on one chunk of the world, the
-masked reference loop beside the kernel, and the end-to-end rate.
+masked reference loop beside the kernel, and the end-to-end rate with
+one worker and with all of them.
 """
 
 import time
 
 import numpy as np
+import pytest
 
+from repro.core import rowpool
 from repro.core.estimator import EstimatorConfig, estimate_series
 from repro.probing import RoundSchedule
 from repro.simulation import WorldConfig, generate_world
@@ -27,6 +33,7 @@ from repro.simulation.fastsim import (
     synthesize_availability,
 )
 from repro.simulation.scenarios import SCENARIO_SCHEDULES
+from tests.test_batch_pins import MEASURE_FIELDS
 from tests.test_estimator import SERIES_FIELDS, reference_estimate_series
 
 N_BLOCKS = 1000
@@ -76,18 +83,30 @@ def run_ablation():
         if getattr(series, name).tobytes() != reference[name].tobytes()
     ]
 
-    runs = []
-    for _ in range(REPEATS):
-        _, seconds = timed(measure_world, world, schedule)
-        runs.append(seconds)
-    return layers, mismatched, float(np.median(runs)), len(schedule.times())
+    world_s = {}
+    measured = {}
+    for workers in (1, rowpool.worker_count()):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rowpool, "_workers", workers)
+            runs = []
+            for _ in range(REPEATS):
+                measured[workers], seconds = timed(measure_world, world, schedule)
+                runs.append(seconds)
+        world_s[workers] = float(np.median(runs))
+    serial, parallel = measured[1], measured[rowpool.worker_count()]
+    split_equal = all(
+        getattr(serial, name).tobytes() == getattr(parallel, name).tobytes()
+        for name in MEASURE_FIELDS
+    )
+    return layers, mismatched, world_s, split_equal, len(schedule.times())
 
 
 def test_abl_batch_pipeline(benchmark, record_output, trajectory):
-    layers, mismatched, world_s, n_rounds = benchmark.pedantic(
+    layers, mismatched, world_s, split_equal, n_rounds = benchmark.pedantic(
         run_ablation, rounds=1, iterations=1
     )
-    blocks_per_s = N_BLOCKS / world_s
+    workers = rowpool.worker_count()
+    blocks_per_s = N_BLOCKS / world_s[workers]
 
     lines = [f"world: {N_BLOCKS} blocks x {n_rounds} rounds (A12W, {N_DAYS} days)"]
     lines.append(f"{'layer':>26}{'s':>9}")
@@ -102,9 +121,14 @@ def test_abl_batch_pipeline(benchmark, record_output, trajectory):
         f"series equal to the masked loop bit for bit: "
         f"{len(SERIES_FIELDS) - len(mismatched)}/{len(SERIES_FIELDS)}"
     )
+    for n, seconds in world_s.items():
+        lines.append(
+            f"measure_world, {n} worker{'s' if n > 1 else ''}: {seconds:.3f} s "
+            f"(median of {REPEATS}), {N_BLOCKS / seconds:.0f} blocks/s"
+        )
     lines.append(
-        f"measure_world: {world_s:.3f} s (median of {REPEATS}), "
-        f"{blocks_per_s:.0f} blocks/s"
+        f"row pool: {workers} workers (CPU affinity mask); "
+        f"outputs equal to 1 worker bit for bit: {split_equal}"
     )
     record_output("abl_batch_pipeline", "\n".join(lines))
     trajectory.record(
@@ -113,3 +137,4 @@ def test_abl_batch_pipeline(benchmark, record_output, trajectory):
     )
 
     assert mismatched == []
+    assert split_equal

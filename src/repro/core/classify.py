@@ -34,6 +34,7 @@ from repro.core.spectral import (
     diurnal_candidates,
     harmonic_bins,
 )
+from repro.core.rowpool import map_rows
 from repro.obs.registry import NULL_REGISTRY
 
 __all__ = [
@@ -429,71 +430,87 @@ class DiurnalBatch:
         return float(self.diurnal_mask.mean()) if self.n_blocks else 0.0
 
 
+# Rows per slice of classify_many: a 64-row spectrum is ~2 MB on
+# 35-day A12W series, so each worker thread reuses small temporaries.
+_CLASSIFY_TILE = 64
+
+
 def classify_many(
     matrix: np.ndarray, round_s: float, config: ClassifierConfig | None = None
 ) -> DiurnalBatch:
     """Classify many blocks at once; rows of ``matrix`` are cleaned series.
 
     Bit-for-bit equivalent to calling :func:`classify_series` per row
-    (tested), but runs one batched FFT and vectorized bin reductions.
-    Rows containing NaN (degraded series under the ``nan`` fill policy)
-    receive label code -1 (insufficient data) and a NaN phase.
+    (tested), but runs batched FFTs and vectorized bin reductions over
+    slices of ``_CLASSIFY_TILE`` rows on the row pool
+    (:mod:`repro.core.rowpool`).  Rows containing NaN (degraded series
+    under the ``nan`` fill policy) receive label code -1 (insufficient
+    data) and a NaN phase.  With metrics on, the FFT time of all slices
+    is observed once per call.
     """
     config = config or ClassifierConfig()
     matrix = np.asarray(matrix, dtype=np.float64)
     nan_rows = np.isnan(matrix).any(axis=1)
-    if nan_rows.any():
-        # Zero out degraded rows so the batched FFT stays finite; their
-        # labels are overridden below.
-        matrix = np.where(nan_rows[:, None], 0.0, matrix)
-    if _obs.enabled:
-        t0 = time.perf_counter()
-        spectra = compute_spectra(matrix, round_s)
-        _obs.fft_batch_seconds.observe(time.perf_counter() - t0)
-    else:
-        spectra = compute_spectra(matrix, round_s)
-    coeff = spectra.coefficients
-    amps = np.abs(coeff)
-    n_blocks, n_bins = amps.shape
-    cand, first, harmonics, others = _bin_sets(
-        spectra.n_samples, round_s, config
-    )
+    n_blocks, n_samples = matrix.shape
+    cand, first, harmonics, others = _bin_sets(n_samples, round_s, config)
     if len(cand) == 0:
         raise ValueError("observation shorter than one day; no diurnal bin")
 
-    cand_amps = amps[:, cand]
-    best_idx = np.argmax(cand_amps, axis=1)
-    k_best = cand[best_idx]
-    diurnal_amp = cand_amps[np.arange(n_blocks), best_idx]
-    strongest_other = (
-        amps[:, others].max(axis=1) if len(others) else np.zeros(n_blocks)
-    )
-    strongest_harmonic = (
-        amps[:, harmonics].max(axis=1) if len(harmonics) else np.zeros(n_blocks)
-    )
-    dominant_k = np.argmax(amps[:, 1:], axis=1) + 1
-
-    dominant_is_diurnal = np.isin(dominant_k, cand)
-    strict = (
-        dominant_is_diurnal
-        & (diurnal_amp >= config.strict_ratio * strongest_other)
-        & (diurnal_amp > strongest_harmonic)
-    )
-    relaxed = dominant_is_diurnal | np.isin(dominant_k, first)
-
     labels = np.zeros(n_blocks, dtype=np.int8)
-    labels[relaxed] = 1
-    labels[strict] = 2
+    phases = np.empty(n_blocks)
+    k_best = np.empty(n_blocks, dtype=np.int64)
+    diurnal_amp = np.empty(n_blocks)
+    dominant_k = np.empty(n_blocks, dtype=np.int64)
+    day_cycles = np.empty(n_blocks)
+    fft_seconds = []
 
-    phases = np.angle(coeff[np.arange(n_blocks), k_best])
-    day_cycles = dominant_k / (round_s * spectra.n_samples) * 86400.0
+    def classify_rows(rows: slice) -> None:
+        block, nan = matrix[rows], nan_rows[rows]
+        if nan.any():
+            # Zero out degraded rows so the batched FFT stays finite;
+            # their labels are overridden below.
+            block = np.where(nan[:, None], 0.0, block)
+        if _obs.enabled:
+            t0 = time.perf_counter()
+            coeff = compute_spectra(block, round_s).coefficients
+            fft_seconds.append(time.perf_counter() - t0)
+        else:
+            coeff = compute_spectra(block, round_s).coefficients
+        amps = np.abs(coeff)
+        n = len(amps)
+        cand_amps = amps[:, cand]
+        best_idx = np.argmax(cand_amps, axis=1)
+        best = k_best[rows] = cand[best_idx]
+        amp = diurnal_amp[rows] = cand_amps[np.arange(n), best_idx]
+        strongest_other = (
+            amps[:, others].max(axis=1) if len(others) else np.zeros(n)
+        )
+        strongest_harmonic = (
+            amps[:, harmonics].max(axis=1) if len(harmonics) else np.zeros(n)
+        )
+        dominant = dominant_k[rows] = np.argmax(amps[:, 1:], axis=1) + 1
 
-    if nan_rows.any():
-        labels[nan_rows] = -1
-        phases = phases.copy()
-        phases[nan_rows] = np.nan
+        dominant_is_diurnal = np.isin(dominant, cand)
+        strict = (
+            dominant_is_diurnal
+            & (amp >= config.strict_ratio * strongest_other)
+            & (amp > strongest_harmonic)
+        )
+        relaxed = dominant_is_diurnal | np.isin(dominant, first)
+        row_labels = labels[rows]
+        row_labels[relaxed] = 1
+        row_labels[strict] = 2
+        row_labels[nan] = -1
+
+        row_phases = phases[rows]
+        row_phases[:] = np.angle(coeff[np.arange(n), best])
+        row_phases[nan] = np.nan
+        np.multiply(dominant / (round_s * n_samples), 86400.0, out=day_cycles[rows])
+
+    map_rows(classify_rows, n_blocks, _CLASSIFY_TILE)
 
     if _obs.enabled:
+        _obs.fft_batch_seconds.observe(sum(fft_seconds))
         for label, code in DiurnalBatch.LABEL_CODES.items():
             n = int((labels == code).sum())
             if n:
@@ -505,8 +522,8 @@ def classify_many(
     return DiurnalBatch(
         labels=labels,
         phases=phases,
-        diurnal_k=k_best.astype(np.int64),
+        diurnal_k=k_best,
         diurnal_amplitude=diurnal_amp,
-        dominant_k=dominant_k.astype(np.int64),
+        dominant_k=dominant_k,
         dominant_cycles_per_day=day_cycles,
     )

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.rowpool import map_rows, worker_count
+
 __all__ = [
     "AvailabilityEstimator",
     "AvailabilitySeries",
@@ -228,6 +230,12 @@ class AvailabilitySeries:
 # blocks, 32-64 rounds ran fastest; 256 was ~30% slower).
 _CHUNK_ROUNDS = 64
 
+# Fewest blocks worth a slice of their own on the row pool: below this
+# the per-round Python dispatch, which holds the GIL, outweighs the
+# vector work a second thread could overlap (on 35-day series, two
+# 256-block slices ran no faster than one 512-block call).
+_MIN_SLICE_ROWS = 256
+
 
 def estimate_series(
     positives: np.ndarray,
@@ -262,6 +270,12 @@ def estimate_series(
     idle round the drive term is +0 and ``k`` is 1, so the state is
     unchanged; and the sum's operand order does not matter because IEEE
     addition is commutative.
+
+    Every block's recurrence is independent of the others, so the blocks
+    are split into one slice per row-pool worker (:mod:`repro.core.rowpool`,
+    at least ``_MIN_SLICE_ROWS`` blocks each) that writes its own rows of
+    the outputs.  A bad count is reported as the serial walk would find
+    it: the earliest round, then the lowest block.
     """
     config = config or EstimatorConfig()
     p_in = np.asarray(positives)
@@ -299,85 +313,98 @@ def estimate_series(
     a_long = np.empty((n_blocks, n_rounds))
     a_oper = np.empty((n_blocks, n_rounds))
     deviation = np.empty((n_blocks, n_rounds))
-
     chunk = max(min(_CHUNK_ROUNDS, n_rounds), 1)
-    obs = np.empty((chunk, 2, n_blocks))  # round-major (p, t)
-    active = np.empty((chunk, n_blocks), dtype=bool)
-    idle = np.empty((chunk, n_blocks), dtype=bool)
-    gain = np.empty((chunk, 2, n_blocks))  # g for (short, long)
-    keep = np.empty((chunk, 2, n_blocks))  # k = 1 - g
-    drive = np.empty((chunk, 2, 2, n_blocks))  # g·(p, t)
-    state = np.empty((chunk + 1, 2, 2, n_blocks))  # row 0 carries in
-    dev = np.empty((chunk + 1, n_blocks))
-    ratio_l = np.empty((chunk, n_blocks))
-    work = np.empty((chunk, n_blocks))
-    state[0] = seed_state
-    dev[0] = cfg.initial_deviation
+    bad_counts = []  # (round, block) of each slice's first bad count
 
-    for r0 in range(0, n_rounds, chunk):
-        c = min(chunk, n_rounds - r0)
-        cols = slice(r0, r0 + c)
-        x = obs[:c]
-        np.copyto(x[:, 0], p2[:, cols].T, casting="unsafe")
-        np.copyto(x[:, 1], t2[:, cols].T, casting="unsafe")
-        on = np.greater(x[:, 1], 0, out=active[:c])
-        off = np.logical_not(on, out=idle[:c])
-        bad = on & ((x[:, 0] < 0) | (x[:, 0] > x[:, 1]))
-        if bad.any():
-            r, b = np.argwhere(bad)[0]
-            raise ValueError(
-                f"bad counts p={p2[b, r0 + r]}, t={t2[b, r0 + r]}"
-                f" (block {b}, round {r0 + r})"
-            )
-        # Idle rounds observe nothing: zero their counts (float counts
-        # may hold NaN or inf there, which a masked copy clears).
-        np.copyto(x, 0.0, where=off[:, None, :])
-        g = gain[:c]
-        np.multiply(on, cfg.alpha_short, out=g[:, 0])
-        np.multiply(on, cfg.alpha_long, out=g[:, 1])
-        k = np.subtract(1.0, g, out=keep[:c])
-        gx = drive[:c]
-        np.multiply(x, cfg.alpha_short, out=gx[:, 0])
-        np.multiply(x, cfg.alpha_long, out=gx[:, 1])
+    def estimate_rows(rows: slice) -> None:
+        p_rows, t_rows = p2[rows], t2[rows]
+        seed_rows = seed_state[:, :, rows]
+        n = len(p_rows)
+        obs = np.empty((chunk, 2, n))  # round-major (p, t)
+        active = np.empty((chunk, n), dtype=bool)
+        idle = np.empty((chunk, n), dtype=bool)
+        gain = np.empty((chunk, 2, n))  # g for (short, long)
+        keep = np.empty((chunk, 2, n))  # k = 1 - g
+        drive = np.empty((chunk, 2, 2, n))  # g·(p, t)
+        state = np.empty((chunk + 1, 2, 2, n))  # row 0 carries in
+        dev = np.empty((chunk + 1, n))
+        ratio_l = np.empty((chunk, n))
+        work = np.empty((chunk, n))
+        state[0] = seed_rows
+        dev[0] = cfg.initial_deviation
 
-        k4 = k[:, :, None, :]
-        for j in range(c):
-            prev = state[j]
-            if r0 + j in restarts:
-                prev = np.where(reset_rows, seed_state, prev)
-            np.multiply(k4[j], prev, out=state[j + 1])
-            np.add(state[j + 1], gx[j], out=state[j + 1])
+        for r0 in range(0, n_rounds, chunk):
+            c = min(chunk, n_rounds - r0)
+            cols = slice(r0, r0 + c)
+            x = obs[:c]
+            np.copyto(x[:, 0], p_rows[:, cols].T, casting="unsafe")
+            np.copyto(x[:, 1], t_rows[:, cols].T, casting="unsafe")
+            on = np.greater(x[:, 1], 0, out=active[:c])
+            off = np.logical_not(on, out=idle[:c])
+            bad = on & ((x[:, 0] < 0) | (x[:, 0] > x[:, 1]))
+            if bad.any():
+                r, b = np.argwhere(bad)[0]
+                bad_counts.append((r0 + r, rows.start + b))
+                return
+            # Idle rounds observe nothing: zero their counts (float counts
+            # may hold NaN or inf there, which a masked copy clears).
+            np.copyto(x, 0.0, where=off[:, None, :])
+            g = gain[:c]
+            np.multiply(on, cfg.alpha_short, out=g[:, 0])
+            np.multiply(on, cfg.alpha_long, out=g[:, 1])
+            k = np.subtract(1.0, g, out=keep[:c])
+            gx = drive[:c]
+            np.multiply(x, cfg.alpha_short, out=gx[:, 0])
+            np.multiply(x, cfg.alpha_long, out=gx[:, 1])
 
-        s = state[1 : c + 1]
-        np.divide(s[:, 0, 0].T, s[:, 0, 1].T, out=a_short[:, cols])
-        rl = np.divide(s[:, 1, 0], s[:, 1, 1], out=ratio_l[:c])
-        a_long[:, cols] = rl.T
+            k4 = k[:, :, None, :]
+            for j in range(c):
+                prev = state[j]
+                if r0 + j in restarts:
+                    prev = np.where(reset_rows, seed_rows, prev)
+                np.multiply(k4[j], prev, out=state[j + 1])
+                np.add(state[j + 1], gx[j], out=state[j + 1])
 
-        # Deviation drive g_l·|Â_l − p/t|: α_l·|Â_l − p/t| on active
-        # rounds, +0 on idle ones (whose t is lifted to 1 to divide).
-        d = np.add(x[:, 1], off, out=work[:c])
-        np.divide(x[:, 0], d, out=d)
-        np.subtract(rl, d, out=d)
-        np.abs(d, out=d)
-        np.multiply(g[:, 1], d, out=d)
-        np.copyto(d, 0.0, where=off)
-        k_l = k[:, 1]
-        for j in range(c):
-            prev = dev[j]
-            if cfg.restart.reset_deviation and r0 + j in restarts:
-                prev = np.full(n_blocks, cfg.initial_deviation)
-            np.multiply(k_l[j], prev, out=dev[j + 1])
-            np.add(dev[j + 1], d[j], out=dev[j + 1])
-        v = dev[1 : c + 1]
-        deviation[:, cols] = v.T
+            s = state[1 : c + 1]
+            np.divide(s[:, 0, 0].T, s[:, 0, 1].T, out=a_short[rows, cols])
+            rl = np.divide(s[:, 1, 0], s[:, 1, 1], out=ratio_l[:c])
+            a_long[rows, cols] = rl.T
 
-        o = np.multiply(cfg.deviation_margin, v, out=d)
-        np.subtract(rl, o, out=o)
-        np.maximum(o, cfg.operational_floor, out=o)
-        a_oper[:, cols] = o.T
+            # Deviation drive g_l·|Â_l − p/t|: α_l·|Â_l − p/t| on active
+            # rounds, +0 on idle ones (whose t is lifted to 1 to divide).
+            d = np.add(x[:, 1], off, out=work[:c])
+            np.divide(x[:, 0], d, out=d)
+            np.subtract(rl, d, out=d)
+            np.abs(d, out=d)
+            np.multiply(g[:, 1], d, out=d)
+            np.copyto(d, 0.0, where=off)
+            k_l = k[:, 1]
+            for j in range(c):
+                prev = dev[j]
+                if cfg.restart.reset_deviation and r0 + j in restarts:
+                    prev = np.full(n, cfg.initial_deviation)
+                np.multiply(k_l[j], prev, out=dev[j + 1])
+                np.add(dev[j + 1], d[j], out=dev[j + 1])
+            v = dev[1 : c + 1]
+            deviation[rows, cols] = v.T
 
-        state[0] = state[c]
-        dev[0] = dev[c]
+            o = np.multiply(cfg.deviation_margin, v, out=d)
+            np.subtract(rl, o, out=o)
+            np.maximum(o, cfg.operational_floor, out=o)
+            a_oper[rows, cols] = o.T
+
+            state[0] = state[c]
+            dev[0] = dev[c]
+
+    # The per-round loop costs the same per call whatever the row count,
+    # so the rows go out as one large slice per worker.
+    per_worker = -(-n_blocks // worker_count())
+    map_rows(estimate_rows, n_blocks, max(per_worker, _MIN_SLICE_ROWS))
+    if bad_counts:
+        r, b = min(bad_counts)
+        raise ValueError(
+            f"bad counts p={p2[b, r]}, t={t2[b, r]} (block {b}, round {r})"
+        )
 
     if p_in.ndim == 1:
         return AvailabilitySeries(

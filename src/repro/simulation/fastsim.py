@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.classify import ClassifierConfig, classify_many
 from repro.core.estimator import EstimatorConfig, estimate_series
+from repro.core.rowpool import map_rows
 from repro.core.timeseries import trim_to_midnight
 from repro.probing.rounds import RoundSchedule
 from repro.simulation.internet import InternetWorld
@@ -38,6 +39,12 @@ __all__ = [
     "measure_world",
     "synthesize_availability",
 ]
+
+
+# Rows per slice of the synthesis, restart-bias and count layers.  Each
+# slice's temporaries stay a few MB on 35-day series, small enough for
+# each worker thread to reuse the same memory from one world to the next.
+_ROW_TILE = 128
 
 
 def synthesize_availability(
@@ -53,61 +60,78 @@ def synthesize_availability(
     minutes, stays high for ``uptime_frac`` of the day, and ramps back
     down.  AR(1) noise models address-level churn.
 
-    Two ``(blocks, rounds)`` buffers carry every step in place (the AR
-    filter allocates the third), and the lease cosine is evaluated only
-    for blocks with a nonzero ``lease_amp``.
+    Two ``(blocks, rounds)`` buffers carry every step in place, and the
+    lease cosine is evaluated only for blocks with a nonzero
+    ``lease_amp``.  The row math runs in slices of ``_ROW_TILE`` blocks
+    on the row pool (:mod:`repro.core.rowpool`); the normal shocks are
+    one full-size draw on the calling thread between the two passes.
     """
+    from scipy.signal import lfilter
+
     indices = np.asarray(indices, dtype=np.intp)
     day_frac = (times / 86400.0) % 1.0
     onset = world.onset_frac[indices]
-    a = np.subtract(day_frac[None, :], onset[:, None])
     # x = (day_frac - onset) % 1.0, the time since onset in days.  With
     # both terms in [0, 1] the difference lies in [-1, 1), where numpy's
     # remainder is exactly x + (x < 0) (a -0.0 becomes +0.0 either way),
     # at a fraction of the cost.
-    if ((onset >= 0) & (onset <= 1)).all() and (day_frac < 1).all():
-        np.add(a, a < 0, out=a)
-    else:
-        np.remainder(a, 1.0, out=a)
-    up = world.uptime_frac[indices][:, None]
-    tau = 0.0625  # 90-minute ramps
-    scratch = np.subtract(a, up)
-    np.divide(scratch, tau, out=scratch)
-    np.clip(scratch, 0.0, 1.0, out=scratch)
-    np.divide(a, tau, out=a)
-    np.clip(a, 0.0, 1.0, out=a)
-    window = np.subtract(a, scratch, out=a)
-    lo = world.a_low[indices][:, None]
-    hi = world.a_high[indices][:, None]
-    np.multiply(hi - lo, window, out=a)
-    np.add(lo, a, out=a)
+    unit_day = bool(((onset >= 0) & (onset <= 1)).all() and (day_frac < 1).all())
+    up = world.uptime_frac[indices]
+    lo = world.a_low[indices]
+    span = world.a_high[indices] - lo
+    lease_amp = world.lease_amp[indices]
+    shape = (len(indices), len(times))
+    a = np.empty(shape)
+    scratch = np.empty(shape)
 
-    # Competing lease-style periodicity (see internet._sample_lease_cpd).
-    rows = np.flatnonzero(world.lease_amp[indices])
-    if rows.size:
-        sub = indices[rows][:, None]
-        lease = np.multiply(
-            2 * np.pi * world.lease_cpd[sub], times[None, :], out=scratch[: rows.size]
-        )
-        np.divide(lease, 86400.0, out=lease)
-        np.add(lease, world.lease_phase[sub], out=lease)
-        np.cos(lease, out=lease)
-        np.multiply(world.lease_amp[sub], lease, out=lease)
-        a[rows] += lease
+    def trapezoid(rows: slice) -> None:
+        x, s = a[rows], scratch[rows]
+        np.subtract(day_frac[None, :], onset[rows, None], out=x)
+        if unit_day:
+            np.add(x, x < 0, out=x)
+        else:
+            np.remainder(x, 1.0, out=x)
+        tau = 0.0625  # 90-minute ramps
+        np.subtract(x, up[rows, None], out=s)
+        np.divide(s, tau, out=s)
+        np.clip(s, 0.0, 1.0, out=s)
+        np.divide(x, tau, out=x)
+        np.clip(x, 0.0, 1.0, out=x)
+        window = np.subtract(x, s, out=x)
+        np.multiply(span[rows, None], window, out=x)
+        np.add(lo[rows, None], x, out=x)
+
+        # Competing lease-style periodicity (see internet._sample_lease_cpd).
+        leased = np.flatnonzero(lease_amp[rows])
+        if leased.size:
+            sub = indices[rows][leased][:, None]
+            lease = np.multiply(
+                2 * np.pi * world.lease_cpd[sub], times[None, :],
+                out=s[: leased.size],
+            )
+            np.divide(lease, 86400.0, out=lease)
+            np.add(lease, world.lease_phase[sub], out=lease)
+            np.cos(lease, out=lease)
+            np.multiply(world.lease_amp[sub], lease, out=lease)
+            x[leased] += lease
 
     # AR(1) noise, one chain per block.
-    from scipy.signal import lfilter
+    sigma = world.noise_sigma[indices]
+    phi = 0.7
 
-    sigma = world.noise_sigma[indices][:, None]
+    def add_noise(rows: slice) -> None:
+        x, shocks = a[rows], scratch[rows]
+        np.multiply(shocks, sigma[rows, None], out=shocks)
+        np.multiply(shocks, 0.55, out=shocks)
+        np.add(x, lfilter([1.0], [1.0, -phi], shocks, axis=1), out=x)
+        np.clip(x, 0.005, 0.995, out=x)
+
+    map_rows(trapezoid, shape[0], _ROW_TILE)
     # rng.normal(0.0, 1.0, a.shape) is 0.0 + 1.0·z over this same stream
     # of standard normals z; draw them straight into the scratch buffer.
-    shocks = rng.standard_normal(out=scratch)
-    np.multiply(shocks, sigma, out=shocks)
-    np.multiply(shocks, 0.55, out=shocks)
-    phi = 0.7
-    noise = lfilter([1.0], [1.0, -phi], shocks, axis=1)
-    np.add(a, noise, out=a)
-    return np.clip(a, 0.005, 0.995, out=a)
+    rng.standard_normal(out=scratch)
+    map_rows(add_noise, shape[0], _ROW_TILE)
+    return a
 
 
 def apply_restart_bias(
@@ -131,14 +155,24 @@ def apply_restart_bias(
     """
     if len(restart_rounds) == 0:
         return availability
-    out = np.array(availability, dtype=np.float64, copy=True)
+    src = np.asarray(availability)
+    out = np.empty(src.shape)
     bias = rng.normal(0.0, bias_sigma, size=(out.shape[0], 1))
     n_rounds = out.shape[1]
+    pulses = []
     for offset, weight in enumerate(decay):
         rounds = restart_rounds + offset
-        rounds = rounds[rounds < n_rounds]
-        out[:, rounds] += bias * weight
-    return np.clip(out, 0.005, 0.995, out=out)
+        pulses.append((rounds[rounds < n_rounds], weight))
+
+    def bias_rows(rows: slice) -> None:
+        x = out[rows]
+        np.copyto(x, src[rows], casting="unsafe")
+        for rounds, weight in pulses:
+            x[:, rounds] += bias[rows] * weight
+        np.clip(x, 0.005, 0.995, out=x)
+
+    map_rows(bias_rows, out.shape[0], _ROW_TILE)
+    return out
 
 
 def adaptive_counts(
@@ -153,24 +187,42 @@ def adaptive_counts(
     address after a geometric number of probes; the round stops there or
     at the 15-probe cap.  ``missing_fraction`` of rounds are dropped
     (t = 0), matching the ~5% missing/duplicate rate the cleaning stage
-    sees in real data.
+    sees in real data; it must lie in [0, 1].
+
+    Both uniform draws are full-size draws on the calling thread; the
+    walk and the missing-round mask run in row slices on the row pool.
     """
+    if not 0.0 <= missing_fraction <= 1.0:
+        raise ValueError(f"missing_fraction must be in [0, 1], got {missing_fraction}")
     a = np.asarray(availability, dtype=np.float64)
+    n_rows = len(a)
     probes = rng.random(a.shape)
-    scratch = np.negative(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(probes, out=probes)
-        np.log1p(scratch, out=scratch)
-        np.divide(probes, scratch, out=probes)
-    np.floor(probes, out=probes)  # failures before the first positive
-    np.copyto(probes, np.inf, where=~np.isfinite(probes))
-    np.add(probes, 1, out=probes)  # probes the walk needs
-    totals = np.minimum(probes, max_probes, out=scratch).astype(np.int16)
-    positives = (probes <= max_probes).astype(np.int16)
+    totals = np.empty(a.shape, dtype=np.int16)
+    positives = np.empty(a.shape, dtype=np.int16)
+
+    def walk(rows: slice) -> None:
+        u = probes[rows]
+        scratch = np.negative(a[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(u, out=u)
+            np.log1p(scratch, out=scratch)
+            np.divide(u, scratch, out=u)
+        np.floor(u, out=u)  # failures before the first positive
+        np.copyto(u, np.inf, where=~np.isfinite(u))
+        np.add(u, 1, out=u)  # probes the walk needs
+        np.minimum(u, max_probes, out=scratch)
+        np.copyto(totals[rows], scratch, casting="unsafe")
+        np.copyto(positives[rows], u <= max_probes)
+
+    def drop_missing(rows: slice) -> None:
+        kept = probes[rows] >= missing_fraction
+        totals[rows] *= kept
+        positives[rows] *= kept
+
+    map_rows(walk, n_rows, _ROW_TILE)
     if missing_fraction > 0:
-        kept = rng.random(out=probes) >= missing_fraction
-        totals *= kept
-        positives *= kept
+        rng.random(out=probes)
+        map_rows(drop_missing, n_rows, _ROW_TILE)
     return positives, totals
 
 
@@ -226,15 +278,18 @@ def measure_world(
 ) -> FastMeasurement:
     """Measure every block of a world through the real estimator+classifier.
 
-    Work proceeds in chunks of ``chunk_size`` blocks to bound memory;
-    each (chunk, n_rounds) array is dropped as soon as the next stage
-    has what it needs.
+    Work proceeds in chunks of ``chunk_size`` (at least 1) blocks to
+    bound memory; each (chunk, n_rounds) array is dropped as soon as the
+    next stage has what it needs.  Each layer spreads its chunk's rows
+    over the row pool; the random draws stay on the calling thread.
 
     Estimator state is seeded per block from the block's true long-run
     availability plus Gaussian ``history_error`` — the deployment's
     "historical data over several years", which is usually close but "may
     be off significantly" for changed blocks (section 2.1.1).
     """
+    if not chunk_size >= 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     estimator = estimator or EstimatorConfig()
     classifier = classifier or ClassifierConfig()
     seed = world.config.seed + 7_777 if seed is None else seed

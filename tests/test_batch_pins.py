@@ -18,7 +18,7 @@ import pytest
 from scipy.signal import lfilter
 
 from repro.core.classify import ClassifierConfig, classify_many
-from repro.core.estimator import EstimatorConfig
+from repro.core.estimator import EstimatorConfig, estimate_series
 from repro.core.timeseries import trim_to_midnight
 from repro.probing import RoundSchedule
 from repro.simulation import WorldConfig, generate_world
@@ -30,7 +30,8 @@ from repro.simulation.fastsim import (
     synthesize_availability,
 )
 from repro.simulation.scenarios import SCENARIO_SCHEDULES
-from tests.test_estimator import reference_estimate_series
+from tests.test_estimator import SERIES_FIELDS, reference_estimate_series
+from tests.test_rowpool import forced_split, single_slice
 
 LABELS_SHA256 = "58ead6606a0a5ec8af67b142ad508d253381ae78e1254221e4df71e4bb06aa9a"
 MEASURE_FIELDS = (
@@ -159,6 +160,17 @@ def test_measure_world_matches_reference(world, schedule):
         assert_bitwise_equal(getattr(m, name), expected[name], name)
 
 
+def test_measure_world_matches_reference_under_forced_split(world, schedule):
+    with forced_split():
+        m = measure_world(world, schedule, chunk_size=128)
+    with single_slice():
+        whole = measure_world(world, schedule, chunk_size=128)
+    expected = reference_measure_world(world, schedule, chunk_size=128)
+    for name in MEASURE_FIELDS:
+        assert_bitwise_equal(getattr(m, name), expected[name], name)
+        assert_bitwise_equal(getattr(whole, name), expected[name], name)
+
+
 def test_measure_world_labels_pinned(world, schedule):
     labels = measure_world(world, schedule).labels
     assert labels.dtype == np.int8 and labels.shape == (300,)
@@ -209,3 +221,54 @@ def test_restart_bias_without_restarts_returns_input(world, schedule):
         world, np.arange(10), schedule.times(), np.random.default_rng(1)
     )
     assert apply_restart_bias(a, np.array([], dtype=np.int64), np.random.default_rng(1)) is a
+
+
+def run_layers(world, schedule, indices, seed, reference=False):
+    """Every batch layer on ``indices``, one generator, as measure_world
+    chains them; a NaN row enters the classifier when there are two rows."""
+    times, restarts = schedule.times(), schedule.restart_rounds()
+    trim = trim_to_midnight(times, schedule.round_s)
+    rng = np.random.default_rng(seed)
+    a0 = np.clip(designed_mean_availability(world)[indices], 0.02, 0.99)
+    if reference:
+        a = reference_synthesize_availability(world, indices, times, rng)
+        biased = reference_apply_restart_bias(a, restarts, rng)
+        counts = reference_adaptive_counts(biased, rng)
+        series = reference_estimate_series(*counts, EstimatorConfig(), restarts, a0)
+    else:
+        a = synthesize_availability(world, indices, times, rng)
+        biased = apply_restart_bias(a, restarts, rng)
+        counts = adaptive_counts(biased, rng)
+        series = estimate_series(
+            *counts, restart_rounds=restarts, initial_availability=a0
+        )
+        series = {name: getattr(series, name) for name in SERIES_FIELDS}
+    matrix = series["a_short"][:, trim].copy()
+    if len(matrix) >= 2:
+        matrix[1, 7] = np.nan
+    batch = classify_many(matrix, schedule.round_s)
+    out = {"availability": a, "biased": biased, "positives": counts[0],
+           "totals": counts[1], **series}
+    for name in ("labels", "phases", "diurnal_k", "diurnal_amplitude",
+                 "dominant_k", "dominant_cycles_per_day"):
+        out[name] = getattr(batch, name)
+    return out
+
+
+@pytest.mark.parametrize("tile", [1, 2])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 7])
+def test_layers_bitwise_under_forced_split(world, schedule, tile, n_rows):
+    # Only the last row has a lease cosine, so it sits in one slice.
+    plain = np.flatnonzero(world.lease_amp == 0)[:n_rows]
+    indices = np.concatenate([plain[:-1], np.flatnonzero(world.lease_amp)[:1]])
+    indices = indices[:n_rows]
+    with forced_split(tile=tile):
+        split = run_layers(world, schedule, indices, seed=n_rows)
+    with single_slice():
+        whole = run_layers(world, schedule, indices, seed=n_rows)
+    expected = run_layers(world, schedule, indices, seed=n_rows, reference=True)
+    if n_rows >= 2:
+        assert split["labels"][1] == -1
+    for name, want in expected.items():
+        assert_bitwise_equal(split[name], want, name)
+        assert_bitwise_equal(whole[name], want, name)

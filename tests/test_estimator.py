@@ -13,6 +13,7 @@ from repro.core.estimator import (
     _CHUNK_ROUNDS,
     estimate_series,
 )
+from tests.test_rowpool import forced_split, single_slice
 
 
 class TestConfig:
@@ -230,6 +231,30 @@ class TestVectorized:
         with pytest.raises(ValueError, match="bad counts"):
             estimate_series(p, t)
 
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            # (block, round) of each bad count -> the one reported.
+            ([(5, 10), (1, 150), (3, 10)], (3, 10)),
+            ([(0, 100), (4, 70)], (4, 70)),
+            ([(4, 63), (2, 64)], (4, 63)),
+            ([(5, 199)], (5, 199)),
+        ],
+    )
+    def test_bad_count_reported_in_serial_order_under_split(self, bad, first):
+        totals = np.full((6, 200), 3)
+        positives = np.ones((6, 200), dtype=np.int64)
+        for b, r in bad:
+            positives[b, r] = 4 + b
+        block, round_ = first
+        message = (
+            f"bad counts p={4 + block}, t=3 (block {block}, round {round_})"
+        )
+        for context in (forced_split, single_slice):
+            with context(), pytest.raises(ValueError) as info:
+                estimate_series(positives, totals)
+            assert str(info.value) == message
+
     def test_idle_rounds_accept_any_positives(self):
         # Rounds with t <= 0 are no-ops, as in streaming, whatever p says.
         series = estimate_series([3, -1, 1], [0, -2, 1])
@@ -338,6 +363,17 @@ def kernel_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=kernel_cases())
 def test_chunked_kernel_matches_reference_loop_bitwise(case):
+    check_kernel_against_reference(case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_cases())
+def test_chunked_kernel_matches_reference_loop_bitwise_under_forced_split(case):
+    with forced_split():
+        check_kernel_against_reference(case)
+
+
+def check_kernel_against_reference(case):
     positives, totals, cfg, restarts, a0, one_d = case
     expected = reference_estimate_series(positives, totals, cfg, restarts, a0)
     if one_d:

@@ -73,6 +73,19 @@ class TestAdaptiveCounts:
         assert (t == 0).mean() == pytest.approx(0.1, abs=0.02)
         assert (p[t == 0] == 0).all()
 
+    @pytest.mark.parametrize("fraction", [1.5, -0.1, float("nan")])
+    def test_rejects_missing_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="missing_fraction"):
+            adaptive_counts(
+                np.full((2, 10), 0.5), np.random.default_rng(0),
+                missing_fraction=fraction,
+            )
+
+    def test_measure_world_rejects_bad_missing_fraction(self):
+        world = generate_world(WorldConfig(n_blocks=5, seed=1))
+        with pytest.raises(ValueError, match="missing_fraction"):
+            measure_world(world, RoundSchedule.for_days(2), missing_fraction=1.5)
+
     def test_extreme_availability(self):
         rng = np.random.default_rng(3)
         p, t = adaptive_counts(np.full((1, 100), 0.999), rng, missing_fraction=0.0)
@@ -157,6 +170,12 @@ class TestMeasureWorld:
         a = measure_world(world, schedule, seed=5)
         b = measure_world(world, schedule, seed=5)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("chunk_size", [0, -100])
+    def test_rejects_chunk_size_below_one(self, chunk_size):
+        world = generate_world(WorldConfig(n_blocks=50, seed=1))
+        with pytest.raises(ValueError, match="chunk_size"):
+            measure_world(world, RoundSchedule.for_days(2), chunk_size=chunk_size)
 
     def test_chunking_invariant(self, world):
         """Chunk size must not change results (same per-chunk seeds only

@@ -41,6 +41,7 @@ from repro.stream import (
     StreamEngine,
     WindowClosed,
 )
+from tests.test_rowpool import forced_split
 
 ROUND = 660.0
 DAY = 86400.0
@@ -313,6 +314,32 @@ class TestClassifyMetrics:
             if k.startswith("classify_verdicts_total")
         )
         assert total == 3
+        assert (
+            snap["histograms"]['classify_fft_seconds{path="batch"}']["count"]
+            == 1
+        )
+
+    def test_classify_many_counts_batch_under_forced_split(self, installed_registry):
+        n = int(2 * DAY / ROUND)
+        t = np.arange(n) * ROUND
+        diurnal = 0.5 + 0.4 * np.sin(2 * np.pi * t / DAY)
+        flat = np.full(n, 0.5)
+        broken = np.where(t == ROUND, np.nan, diurnal)
+        # Every row is a slice of its own; the call still observes once.
+        with forced_split(tile=1):
+            classify_many(np.vstack([diurnal, flat, broken, flat]), ROUND)
+        snap = installed_registry.snapshot()
+        verdicts = [
+            v
+            for k, v in snap["counters"].items()
+            if k.startswith("classify_verdicts_total")
+        ]
+        assert sum(verdicts) == 4
+        assert (
+            snap["counters"]['classify_verdicts_total{label="insufficient-data"}']
+            == 1
+        )
+        assert snap["counters"]["classify_nan_refusals_total"] == 1
         assert (
             snap["histograms"]['classify_fft_seconds{path="batch"}']["count"]
             == 1
