@@ -6,14 +6,17 @@ counts, run the EWMA estimators, classify.  The estimator walks the
 rounds in cache-sized chunks with per-round gain arrays instead of the
 per-round masked update it replaced, so this benchmark checks both
 claims on one world: the chunked kernel equals the masked per-round loop
-bit for bit on all four series, and the whole pipeline's rate in blocks
-per second (recorded in the perf trajectory).  Each layer also spreads
+bit for bit on all four series, and so does its short-only run (the one
+``measure_world`` makes, which computes Â_s alone) on ``a_short``; and the
+whole pipeline's rate in blocks per second (recorded in the perf
+trajectory).  Each layer also spreads
 its rows over the row pool's threads, one per CPU in the affinity mask;
 the world is measured with the pool forced down to one worker and at the
 machine's count, and the two must agree bit for bit.
 
 The table lists the time of each layer on one chunk of the world, the
-masked reference loop beside the kernel, and the end-to-end rate with
+short-only kernel and the masked reference loop beside the full kernel,
+and the end-to-end rate with
 one worker and with all of them.
 """
 
@@ -75,6 +78,10 @@ def run_ablation():
         estimate_series, positives, totals, config,
         restart_rounds=restarts, initial_availability=a0,
     )
+    short, layers["estimate_series short_only"] = timed(
+        estimate_series, positives, totals, config,
+        restart_rounds=restarts, initial_availability=a0, short_only=True,
+    )
     reference, layers["masked per-round loop"] = timed(
         reference_estimate_series, positives, totals, config, restarts, a0
     )
@@ -82,6 +89,8 @@ def run_ablation():
         name for name in SERIES_FIELDS
         if getattr(series, name).tobytes() != reference[name].tobytes()
     ]
+    if short.a_short.tobytes() != reference["a_short"].tobytes():
+        mismatched.append("a_short (short_only)")
 
     world_s = {}
     measured = {}
@@ -109,9 +118,9 @@ def test_abl_batch_pipeline(benchmark, record_output, trajectory):
     blocks_per_s = N_BLOCKS / world_s[workers]
 
     lines = [f"world: {N_BLOCKS} blocks x {n_rounds} rounds (A12W, {N_DAYS} days)"]
-    lines.append(f"{'layer':>26}{'s':>9}")
+    lines.append(f"{'layer':>28}{'s':>9}")
     for name, seconds in layers.items():
-        lines.append(f"{name:>26}{seconds:>9.3f}")
+        lines.append(f"{name:>28}{seconds:>9.3f}")
     lines.append("")
     lines.append(
         f"estimator speedup vs masked loop: "
@@ -119,7 +128,8 @@ def test_abl_batch_pipeline(benchmark, record_output, trajectory):
     )
     lines.append(
         f"series equal to the masked loop bit for bit: "
-        f"{len(SERIES_FIELDS) - len(mismatched)}/{len(SERIES_FIELDS)}"
+        f"{len(SERIES_FIELDS) + 1 - len(mismatched)}/{len(SERIES_FIELDS) + 1} "
+        f"(four full, a_short of short_only)"
     )
     for n, seconds in world_s.items():
         lines.append(

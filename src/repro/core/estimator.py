@@ -29,6 +29,7 @@ scale runs; it is bit-for-bit equivalent to streaming
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,14 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {alpha}")
         if not 0.0 <= self.initial_availability <= 1.0:
             raise ValueError("initial_availability must be in [0, 1]")
-        if self.initial_weight <= 0:
-            raise ValueError("initial_weight must be positive")
+        if not 0.0 < self.initial_weight < math.inf:
+            raise ValueError("initial_weight must be finite and positive")
+        if not 0.0 <= self.initial_deviation < math.inf:
+            raise ValueError("initial_deviation must be finite and >= 0")
+        if not 0.0 <= self.operational_floor <= 1.0:
+            raise ValueError("operational_floor must be in [0, 1]")
+        if not 0.0 <= self.deviation_margin < math.inf:
+            raise ValueError("deviation_margin must be finite and >= 0")
 
 
 class AvailabilityEstimator:
@@ -215,13 +222,15 @@ class AvailabilitySeries:
     """Batch estimator output: per-round estimates for one or many blocks.
 
     Every array has the same shape as the input counts: ``(n_rounds,)`` or
-    ``(n_blocks, n_rounds)``.
+    ``(n_blocks, n_rounds)``.  A ``short_only`` run of
+    :func:`estimate_series` fills ``a_short`` alone; the other fields are
+    ``None``.
     """
 
     a_short: np.ndarray
-    a_long: np.ndarray
-    a_operational: np.ndarray
-    deviation: np.ndarray
+    a_long: np.ndarray | None
+    a_operational: np.ndarray | None
+    deviation: np.ndarray | None
 
 
 # Rounds per chunk of the batch kernel.  A per-round step touches a few
@@ -243,6 +252,7 @@ def estimate_series(
     config: EstimatorConfig | None = None,
     restart_rounds: np.ndarray | None = None,
     initial_availability: np.ndarray | float | None = None,
+    short_only: bool = False,
 ) -> AvailabilitySeries:
     """Vectorized :class:`AvailabilityEstimator` over count arrays.
 
@@ -251,11 +261,14 @@ def estimate_series(
     with ``totals <= 0`` leave that block's state unchanged (matching the
     streaming no-op); on other rounds ``0 <= positives <= totals`` must
     hold, else ValueError (as :meth:`AvailabilityEstimator.observe`).
-    ``restart_rounds`` lists round indices at which the restart policy is
-    applied to every block before that round's observation.
+    ``restart_rounds`` lists integral round indices at which the restart
+    policy is applied to every block before that round's observation.
     ``initial_availability`` optionally overrides the config seed estimate,
     per block — the deployment initializes each block from years of
     history, so a scalar cold start misrepresents warm blocks.
+    ``short_only`` computes Â_s alone, the one series the FFT test reads:
+    the kernel runs only the ``(p̂_s, t̂_s)`` row of its state and skips
+    Â_l, the deviation pass and Â_o, whose fields are then ``None``.
 
     The kernel walks the rounds in chunks of ``_CHUNK_ROUNDS``.  Each
     chunk of counts is read in the caller's dtype and transposed into a
@@ -296,23 +309,35 @@ def estimate_series(
         )
         if (~((a0 >= 0) & (a0 <= 1))).any():
             raise ValueError("initial_availability must be in [0, 1]")
-    # Stacked state [[p̂_s, t̂_s], [p̂_l, t̂_l]] and its restart mask.
-    seed_state = np.empty((2, 2, n_blocks))
+    # Stacked state [[p̂_s, t̂_s], [p̂_l, t̂_l]], its gains and restart
+    # mask; a short-only run keeps the first row.
+    rows_run = 1 if short_only else 2
+    alphas = [cfg.alpha_short, cfg.alpha_long][:rows_run]
+    seed_state = np.empty((rows_run, 2, n_blocks))
     seed_state[:, 0] = a0 * w0
     seed_state[:, 1] = w0
     reset_rows = np.array(
-        [cfg.restart.reset_short, cfg.restart.reset_long]
+        [cfg.restart.reset_short, cfg.restart.reset_long][:rows_run]
     )[:, None, None]
+    reset_dev = cfg.restart.reset_deviation and not short_only
     restarts = set()
-    if restart_rounds is not None and (
-        reset_rows.any() or cfg.restart.reset_deviation
-    ):
-        restarts = set(np.asarray(restart_rounds, dtype=np.int64).tolist())
+    if restart_rounds is not None:
+        asked = np.asarray(restart_rounds)
+        rounds = asked.astype(np.int64)
+        fractional = asked[rounds != asked]
+        if fractional.size:
+            raise ValueError(
+                f"restart_rounds must be integral, got {fractional[0]}"
+            )
+        if reset_rows.any() or reset_dev:
+            restarts = set(rounds.tolist())
 
     a_short = np.empty((n_blocks, n_rounds))
-    a_long = np.empty((n_blocks, n_rounds))
-    a_oper = np.empty((n_blocks, n_rounds))
-    deviation = np.empty((n_blocks, n_rounds))
+    a_long = a_oper = deviation = None
+    if not short_only:
+        a_long = np.empty((n_blocks, n_rounds))
+        a_oper = np.empty((n_blocks, n_rounds))
+        deviation = np.empty((n_blocks, n_rounds))
     chunk = max(min(_CHUNK_ROUNDS, n_rounds), 1)
     bad_counts = []  # (round, block) of each slice's first bad count
 
@@ -323,15 +348,16 @@ def estimate_series(
         obs = np.empty((chunk, 2, n))  # round-major (p, t)
         active = np.empty((chunk, n), dtype=bool)
         idle = np.empty((chunk, n), dtype=bool)
-        gain = np.empty((chunk, 2, n))  # g for (short, long)
-        keep = np.empty((chunk, 2, n))  # k = 1 - g
-        drive = np.empty((chunk, 2, 2, n))  # g·(p, t)
-        state = np.empty((chunk + 1, 2, 2, n))  # row 0 carries in
-        dev = np.empty((chunk + 1, n))
-        ratio_l = np.empty((chunk, n))
-        work = np.empty((chunk, n))
+        gain = np.empty((chunk, rows_run, n))  # g for (short, long)
+        keep = np.empty((chunk, rows_run, n))  # k = 1 - g
+        drive = np.empty((chunk, rows_run, 2, n))  # g·(p, t)
+        state = np.empty((chunk + 1, rows_run, 2, n))  # row 0 carries in
         state[0] = seed_rows
-        dev[0] = cfg.initial_deviation
+        if not short_only:
+            dev = np.empty((chunk + 1, n))
+            ratio_l = np.empty((chunk, n))
+            work = np.empty((chunk, n))
+            dev[0] = cfg.initial_deviation
 
         for r0 in range(0, n_rounds, chunk):
             c = min(chunk, n_rounds - r0)
@@ -349,13 +375,11 @@ def estimate_series(
             # Idle rounds observe nothing: zero their counts (float counts
             # may hold NaN or inf there, which a masked copy clears).
             np.copyto(x, 0.0, where=off[:, None, :])
-            g = gain[:c]
-            np.multiply(on, cfg.alpha_short, out=g[:, 0])
-            np.multiply(on, cfg.alpha_long, out=g[:, 1])
+            g, gx = gain[:c], drive[:c]
+            for row, alpha in enumerate(alphas):
+                np.multiply(on, alpha, out=g[:, row])
+                np.multiply(x, alpha, out=gx[:, row])
             k = np.subtract(1.0, g, out=keep[:c])
-            gx = drive[:c]
-            np.multiply(x, cfg.alpha_short, out=gx[:, 0])
-            np.multiply(x, cfg.alpha_long, out=gx[:, 1])
 
             k4 = k[:, :, None, :]
             for j in range(c):
@@ -367,6 +391,9 @@ def estimate_series(
 
             s = state[1 : c + 1]
             np.divide(s[:, 0, 0].T, s[:, 0, 1].T, out=a_short[rows, cols])
+            state[0] = state[c]
+            if short_only:
+                continue
             rl = np.divide(s[:, 1, 0], s[:, 1, 1], out=ratio_l[:c])
             a_long[rows, cols] = rl.T
 
@@ -381,7 +408,7 @@ def estimate_series(
             k_l = k[:, 1]
             for j in range(c):
                 prev = dev[j]
-                if cfg.restart.reset_deviation and r0 + j in restarts:
+                if reset_dev and r0 + j in restarts:
                     prev = np.full(n, cfg.initial_deviation)
                 np.multiply(k_l[j], prev, out=dev[j + 1])
                 np.add(dev[j + 1], d[j], out=dev[j + 1])
@@ -392,8 +419,6 @@ def estimate_series(
             np.subtract(rl, o, out=o)
             np.maximum(o, cfg.operational_floor, out=o)
             a_oper[rows, cols] = o.T
-
-            state[0] = state[c]
             dev[0] = dev[c]
 
     # The per-round loop costs the same per call whatever the row count,
@@ -406,13 +431,7 @@ def estimate_series(
             f"bad counts p={p2[b, r]}, t={t2[b, r]} (block {b}, round {r})"
         )
 
+    outputs = (a_short, a_long, a_oper, deviation)
     if p_in.ndim == 1:
-        return AvailabilitySeries(
-            a_short=a_short[0],
-            a_long=a_long[0],
-            a_operational=a_oper[0],
-            deviation=deviation[0],
-        )
-    return AvailabilitySeries(
-        a_short=a_short, a_long=a_long, a_operational=a_oper, deviation=deviation
-    )
+        outputs = [None if out is None else out[0] for out in outputs]
+    return AvailabilitySeries(*outputs)

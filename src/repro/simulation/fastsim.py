@@ -281,7 +281,9 @@ def measure_world(
     Work proceeds in chunks of ``chunk_size`` (at least 1) blocks to
     bound memory; each (chunk, n_rounds) array is dropped as soon as the
     next stage has what it needs.  Each layer spreads its chunk's rows
-    over the row pool; the random draws stay on the calling thread.
+    over the row pool; the random draws stay on the calling thread.  The
+    classifier reads only Â_s, so the estimator runs ``short_only`` and
+    allocates no Â_l, deviation or Â_o series.
 
     Estimator state is seeded per block from the block's true long-run
     availability plus Gaussian ``history_error`` — the deployment's
@@ -330,6 +332,7 @@ def measure_world(
             estimator,
             restart_rounds=restarts,
             initial_availability=a_init,
+            short_only=True,
         ).a_short
         batch = classify_many(a_short[:, trim], schedule.round_s, classifier)
         labels[idx] = batch.labels

@@ -1,5 +1,8 @@
 """Tests for the EWMA availability estimators (paper section 2.1)."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,35 @@ class TestConfig:
             EstimatorConfig(initial_availability=1.2)
         with pytest.raises(ValueError):
             EstimatorConfig(initial_weight=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("initial_weight", np.nan),
+            ("initial_weight", np.inf),
+            ("initial_deviation", np.nan),
+            ("initial_deviation", np.inf),
+            ("initial_deviation", -1.0),
+            ("operational_floor", np.nan),
+            ("operational_floor", -0.1),
+            ("operational_floor", 1.5),
+            ("deviation_margin", np.nan),
+            ("deviation_margin", np.inf),
+            ("deviation_margin", -0.5),
+        ],
+    )
+    def test_rejects_non_finite_or_out_of_range(self, name, value):
+        # NaN seeds made every estimate NaN, and a NaN floor split streaming
+        # (Python max drops it) from batch (np.maximum propagates it).
+        with pytest.raises(ValueError, match=name):
+            EstimatorConfig(**{name: value})
+
+    def test_accepts_range_edges(self):
+        for floor, margin in [(0.0, 0.0), (1.0, 2.0)]:
+            EstimatorConfig(
+                operational_floor=floor, deviation_margin=margin,
+                initial_deviation=0.0,
+            )
 
 
 class TestStreaming:
@@ -213,6 +245,49 @@ class TestVectorized:
     def test_1d_input_gives_1d_output(self):
         series = estimate_series(np.array([1, 0, 1]), np.array([1, 1, 2]))
         assert series.a_short.shape == (3,)
+        short = estimate_series([1, 0, 1], [1, 1, 2], short_only=True)
+        assert short.a_short.tobytes() == series.a_short.tobytes()
+        assert short.a_long is short.a_operational is short.deviation is None
+
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)))
+    def test_short_only_equals_full_kernel_under_every_policy(self, flags):
+        cfg = EstimatorConfig(restart=RestartPolicy(*flags))
+        rng = np.random.default_rng(6)
+        totals = rng.integers(0, 16, size=(3, 400))
+        positives = np.minimum(rng.integers(0, 2, size=(3, 400)), totals)
+        a0 = rng.uniform(0.0, 1.0, 3)
+        for restarts in (None, [0, 63, 64, 200, 399]):
+            full = estimate_series(
+                positives, totals, cfg, restarts, initial_availability=a0
+            )
+            short = estimate_series(
+                positives, totals, cfg, restarts, initial_availability=a0,
+                short_only=True,
+            )
+            assert short.a_short.tobytes() == full.a_short.tobytes()
+            assert short.a_long is short.a_operational is short.deviation is None
+
+    def test_short_only_peak_memory_is_its_one_output(self):
+        # Guards the saving: the unread series would push the peak to ~4x.
+        rng = np.random.default_rng(7)
+        totals = rng.integers(0, 16, size=(256, 2000)).astype(np.int16)
+        positives = np.minimum(rng.integers(0, 2, size=totals.shape), totals)
+        tracemalloc.start()
+        try:
+            series = estimate_series(positives, totals, short_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * series.a_short.nbytes
+
+    @pytest.mark.parametrize("reset_short", [False, True])
+    def test_rejects_fractional_restart_rounds(self, reset_short):
+        cfg = EstimatorConfig(restart=RestartPolicy(reset_short=reset_short))
+        with pytest.raises(ValueError, match="restart_rounds must be integral"):
+            estimate_series([1, 1, 1, 1], [1, 1, 1, 1], cfg, restart_rounds=[2.9])
+        whole = estimate_series([1, 0, 1, 1], [1, 1, 1, 1], cfg, restart_rounds=[2.0])
+        ints = estimate_series([1, 0, 1, 1], [1, 1, 1, 1], cfg, restart_rounds=[2])
+        assert whole.a_short.tobytes() == ints.a_short.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -250,9 +325,11 @@ class TestVectorized:
         message = (
             f"bad counts p={4 + block}, t=3 (block {block}, round {round_})"
         )
-        for context in (forced_split, single_slice):
+        for context, short_only in itertools.product(
+            (forced_split, single_slice), (False, True)
+        ):
             with context(), pytest.raises(ValueError) as info:
-                estimate_series(positives, totals)
+                estimate_series(positives, totals, short_only=short_only)
             assert str(info.value) == message
 
     def test_idle_rounds_accept_any_positives(self):
@@ -268,6 +345,10 @@ class TestVectorized:
         assert estimate_series([], []).a_short.shape == (0,)
         assert estimate_series(np.zeros((3, 0)), np.zeros((3, 0))).a_long.shape == (3, 0)
         assert estimate_series(np.zeros((0, 5)), np.zeros((0, 5))).deviation.shape == (0, 5)
+        for shape in [(0,), (3, 0), (0, 5)]:
+            short = estimate_series(np.zeros(shape), np.zeros(shape), short_only=True)
+            assert short.a_short.shape == shape
+            assert short.a_long is None
 
 
 def reference_estimate_series(positives, totals, config, restart_rounds, a0):
@@ -373,17 +454,34 @@ def test_chunked_kernel_matches_reference_loop_bitwise_under_forced_split(case):
         check_kernel_against_reference(case)
 
 
-def check_kernel_against_reference(case):
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_cases())
+def test_short_only_kernel_matches_reference_loop_bitwise(case):
+    check_kernel_against_reference(case, short_only=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_cases())
+def test_short_only_kernel_matches_reference_loop_bitwise_under_forced_split(case):
+    with forced_split():
+        check_kernel_against_reference(case, short_only=True)
+
+
+def check_kernel_against_reference(case, short_only=False):
     positives, totals, cfg, restarts, a0, one_d = case
     expected = reference_estimate_series(positives, totals, cfg, restarts, a0)
     if one_d:
         positives, totals = positives[0], totals[0]
     got = estimate_series(
-        positives, totals, cfg, restart_rounds=restarts, initial_availability=a0
+        positives, totals, cfg, restart_rounds=restarts, initial_availability=a0,
+        short_only=short_only,
     )
     for name in SERIES_FIELDS:
         want = expected[name][0] if one_d else expected[name]
         have = getattr(got, name)
+        if short_only and name != "a_short":
+            assert have is None, name
+            continue
         assert have.shape == want.shape, name
         assert have.dtype == np.float64, name
         assert canonical_bits(have) == canonical_bits(want), name
