@@ -23,19 +23,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro import (
-    analysis,
-    asn,
-    core,
-    datasets,
-    geo,
-    linktype,
-    net,
-    probing,
-    simulation,
-    stats,
-    stream,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -53,3 +41,11 @@ __all__ = [
     "stream",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: a subpackage loads on first access, so importing one
+    # entry point (say ``repro.serve``) does not pull in the others.
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,8 +38,8 @@ Endpoints:
   points (``{t, min, max, mean, last, count}``) from the supervision
   loop's :class:`~repro.obs.history.MetricsHistory`; ``series`` may
   repeat, ``window`` is seconds (default 600), ``step`` optionally
-  re-buckets.  Without ``series`` the catalog of tracked series is
-  returned.  404 when history is disabled.
+  re-buckets (finite, at least 1 ms).  Without ``series`` the catalog
+  of tracked series is returned.  404 when history is disabled.
 * ``GET /dashboard`` — the zero-dependency ops page: server-rendered
   HTML with inline-SVG sparklines over history (ingest rate, queue
   depth, shed ratio, p99, error burn rate, per-shard health and
@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 import time
 import urllib.parse
@@ -102,6 +103,9 @@ __all__ = ["ServiceAPI"]
 _MAX_BODY_BYTES = 32 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_PROFILE_SECONDS = 30.0
+# Finest /metrics/history re-bucketing step: a far finer one makes the
+# wall-clock grid index t / step overflow.
+_MIN_HISTORY_STEP_S = 1e-3
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _FLOAT_MAX = int(sys.float_info.max)
 
@@ -601,8 +605,10 @@ class ServiceAPI:
         if window <= 0:
             raise _HTTPError(400, "window must be positive seconds")
         step = _float_param(params, "step", 0.0)
-        if step < 0:
-            raise _HTTPError(400, "step must be positive seconds")
+        if step != 0 and step < _MIN_HISTORY_STEP_S:
+            raise _HTTPError(
+                400, f"step must be at least {_MIN_HISTORY_STEP_S:g} seconds"
+            )
         keys = params.get("series")
         if not keys:
             catalog = await self._offload(history.series)
@@ -657,9 +663,12 @@ def _float_param(params: dict, name: str, default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise _HTTPError(400, f"{name}={raw!r} is not a number")
+    if not math.isfinite(value):
+        raise _HTTPError(400, f"{name}={raw!r} is not a finite number")
+    return value
 
 
 def _json_bytes(payload) -> bytes:

@@ -313,11 +313,13 @@ class StreamJournal:
         if n == 0:
             return self.next_seq - 1
         if seqs is not None:
-            seqs = np.asarray(seqs, dtype=np.uint64)
+            # Checked as signed integers, as append() does: a uint64
+            # cast first would wrap a negative seq past the high-water.
+            seqs = np.asarray(seqs, dtype=np.int64)
             if seqs.shape != times.shape:
                 raise ValueError("seqs must align with times/values")
             if int(seqs[0]) < self.next_seq or (
-                n > 1 and bool((np.diff(seqs.astype(np.int64)) <= 0).any())
+                n > 1 and bool((np.diff(seqs) <= 0).any())
             ):
                 raise ValueError(
                     "caller-assigned seqs must be strictly increasing and "

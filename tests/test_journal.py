@@ -66,6 +66,23 @@ class TestRoundTrip:
         records, _ = read_journal(path)
         assert [r.block_id for r in records] == [1, 2]
 
+    @pytest.mark.parametrize("seqs", [[-5, -4], [-1, 3], [0, 1]])
+    def test_append_many_refuses_seqs_not_past_high_water(
+        self, tmp_path, seqs
+    ):
+        # int64 arrays, as the replicated router plans them: a negative
+        # seq must not wrap around to a huge uint64 and pass the check.
+        path = tmp_path / "wal"
+        with StreamJournal(path) as journal:
+            with pytest.raises(ValueError, match="high-water 0"):
+                journal.append_many([1, 2], [0.0, 660.0], [0.5, 0.6],
+                                    seqs=np.array(seqs, dtype=np.int64))
+            assert journal.next_seq == 1
+            assert journal.append_many(
+                [1, 2], [0.0, 660.0], [0.5, 0.6], seqs=[4, 7]
+            ) == 7
+        assert [r.seq for r in read_journal(path)[0]] == [4, 7]
+
     def test_not_a_journal(self, tmp_path):
         path = tmp_path / "wal"
         path.write_bytes(b"definitely not a journal")

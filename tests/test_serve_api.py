@@ -9,11 +9,13 @@ processes.
 
 import asyncio
 import json
+import math
 import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -21,6 +23,7 @@ import pytest
 from repro.core.retry import RetryPolicy
 from repro.obs import MetricsRegistry
 from repro.obs.events import EventLogger, read_event_log
+from repro.obs.history import HistoryConfig
 from repro.obs.tracing import Tracer, parse_traceparent
 from repro.serve import ServiceAPI, ServiceConfig, ServiceRunner
 from repro.stream.engine import StreamConfig
@@ -192,6 +195,37 @@ def test_error_statuses(harness):
     assert status == 405
     status, body, _ = harness.request("POST", "/phase-map", {})
     assert status == 405
+
+
+@pytest.mark.watchdog(120)
+def test_history_rejects_non_finite_and_too_fine_numbers(tmp_path):
+    harness = make_harness(
+        tmp_path, history=HistoryConfig(sample_min_interval_s=0.0)
+    )
+    try:
+        harness.runner.ingest(interleaved(WINDOW))
+        deadline = time.monotonic() + 10.0
+        while (time.monotonic() < deadline
+               and harness.runner.history.n_samples < 2):
+            time.sleep(0.05)
+        series = "/metrics/history?series=service_ingest_observations_total"
+        for query in (
+            "window=nan", "window=inf", "window=-inf",
+            "step=nan", "step=inf",
+            "step=1e-9",
+            "window=1e-300&step=1e-300",  # t / step overflows the grid
+        ):
+            status, body, _ = harness.request("GET", f"{series}&{query}")
+            assert status == 400, (query, status, body)
+            assert "error" in body
+        status, payload, _ = harness.request(
+            "GET", f"{series}&window=600&step=0.001"
+        )
+        assert status == 200
+        [points] = [s["points"] for s in payload["series"]]
+        assert points and all(math.isfinite(p["t"]) for p in points)
+    finally:
+        harness.close()
 
 
 @pytest.mark.watchdog(120)

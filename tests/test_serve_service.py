@@ -268,6 +268,35 @@ def test_graceful_drain_flushes_queues_and_journals(tmp_path):
 
 
 @pytest.mark.watchdog(120)
+def test_spawn_context_replicated_service_round_trip(tmp_path):
+    """Shards started by ``spawn``, not ``fork``: each worker imports
+    the package afresh instead of inheriting the parent's memory, so
+    ingest, a replicated read and a clean drain must all still work."""
+    config = service_config(tmp_path, replication=2, mp_context="spawn")
+    runner = ServiceRunner(config, metrics=MetricsRegistry())
+    try:
+        runner.start()
+        report = runner.ingest(interleaved(2 * WINDOW))
+        assert report["accepted"] == N_BLOCKS * 2 * WINDOW
+        assert report["rejected"] == 0
+        runner.flush()
+        for block_id in range(N_BLOCKS):
+            snapshot = runner.query_block(block_id)
+            expected = oracle_report(block_id, 2 * WINDOW, WINDOW)
+            assert snapshot["last_report"] == expected, block_id
+        drained = runner.stop(drain=True)
+        for shard_id, shard_report in drained["shards"].items():
+            assert shard_report["drained"], shard_report
+            assert shard_report["depth"] == 0
+            records, recovery = read_journal(config.journal_path(shard_id))
+            assert recovery.truncated_bytes == 0
+            # R=2 over two shards: every shard holds every observation.
+            assert len(records) == report["accepted"]
+    finally:
+        runner.stop(drain=False)
+
+
+@pytest.mark.watchdog(120)
 def test_restart_recovers_state_from_journals(tmp_path):
     """A full service restart replays every shard's journal."""
     config = service_config(tmp_path)
