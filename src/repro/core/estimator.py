@@ -261,8 +261,9 @@ def estimate_series(
     with ``totals <= 0`` leave that block's state unchanged (matching the
     streaming no-op); on other rounds ``0 <= positives <= totals`` must
     hold, else ValueError (as :meth:`AvailabilityEstimator.observe`).
-    ``restart_rounds`` lists integral round indices at which the restart
-    policy is applied to every block before that round's observation.
+    ``restart_rounds`` lists non-negative integral round indices at which
+    the restart policy is applied to every block before that round's
+    observation.
     ``initial_availability`` optionally overrides the config seed estimate,
     per block — the deployment initializes each block from years of
     history, so a scalar cold start misrepresents warm blocks.
@@ -328,6 +329,10 @@ def estimate_series(
         if fractional.size:
             raise ValueError(
                 f"restart_rounds must be integral, got {fractional[0]}"
+            )
+        if (rounds < 0).any():
+            raise ValueError(
+                f"restart_rounds must be non-negative, got {rounds.min()}"
             )
         if reset_rows.any() or reset_dev:
             restarts = set(rounds.tolist())

@@ -5,9 +5,10 @@ FFT classification) do the same numpy/scipy work on every row of a
 ``(blocks, rounds)`` array, and that work releases the GIL.
 :func:`map_rows` cuts the rows into disjoint slices and runs them on
 every CPU in the affinity mask, the calling thread included.  Each row
-is computed by the same operations whichever slice holds it, so callers
-that keep their random draws on the calling thread get results
-bit-identical to one call over all rows.
+is computed by the same operations whichever slice holds it, and random
+draws are made in row order (on the calling thread, or per slice through
+``map_rows``' ``draw`` hook), so results are bit-identical to one call
+over all rows.
 
 The pool is created on first use and dropped in a forked child: the
 child inherits the executor object but none of its threads, so work
@@ -20,7 +21,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Any, Callable
 
 __all__ = ["map_rows", "worker_count"]
 
@@ -62,7 +63,12 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def map_rows(fn: Callable[[slice], None], n_rows: int, tile: int) -> None:
+def map_rows(
+    fn: Callable[..., None],
+    n_rows: int,
+    tile: int,
+    draw: Callable[[slice], Any] | None = None,
+) -> None:
     """Call ``fn(rows)`` on disjoint slices of ``tile`` rows covering ``n_rows``.
 
     Slices are handed out in row order to the pool's threads and the
@@ -71,24 +77,48 @@ def map_rows(fn: Callable[[slice], None], n_rows: int, tile: int) -> None:
     row.  If slices fail, no new slice starts, and the exception of the
     first failing slice in row order is raised once all running slices
     have finished.
+
+    With ``draw``, each slice is ``fn(rows, draw(rows))``, and the draws
+    are made in row order: ``draw`` runs under the lock that hands out
+    the slices, ``fn`` outside it.  So a slice's random draw takes the
+    same part of its generator's stream as the matching rows of one
+    draw over all rows, and only slice-sized draws are ever live.  With
+    one worker the slices run in order on the calling thread.
     """
     n_tiles = -(-n_rows // tile)
+
+    def rows_of(i: int) -> slice:
+        return slice(i * tile, min((i + 1) * tile, n_rows))
+
     helpers = min(_workers, n_tiles) - 1
     if helpers <= 0:
-        fn(slice(0, n_rows))
+        if draw is None:
+            fn(slice(0, n_rows))
+        else:
+            for i in range(n_tiles):
+                rows = rows_of(i)
+                fn(rows, draw(rows))
         return
     next_tile = itertools.count().__next__
+    handout = threading.Lock()
     failures: dict[int, BaseException] = {}
 
     def drain() -> None:
         # Tiles leave the counter in order, so every tile before a
         # failing one has started and will report its own failure.
-        while not failures:
-            i = next_tile()
-            if i >= n_tiles:
-                return
+        while True:
+            with handout:
+                i = next_tile()
+                if failures or i >= n_tiles:
+                    return
+                rows = rows_of(i)
+                try:
+                    args = (rows,) if draw is None else (rows, draw(rows))
+                except BaseException as exc:  # re-raised below, in the caller
+                    failures[i] = exc
+                    return
             try:
-                fn(slice(i * tile, min((i + 1) * tile, n_rows)))
+                fn(*args)
             except BaseException as exc:  # re-raised below, in the caller
                 failures[i] = exc
 

@@ -26,62 +26,45 @@ degraded" with one config object:
     against.
 """
 
-from repro.faults.config import FaultConfig
-from repro.faults.corruption import (
-    CORRUPTION_MATRIX,
-    corrupt_file,
-    flip_bit,
-    overwrite_range,
-    truncate_fraction,
-    truncate_tail,
-    zero_length,
-)
-from repro.faults.crash import (
-    InjectedCrash,
-    any_armed,
-    arm,
-    armed,
-    crashpoint,
-    disarm,
-    fired,
-)
-from repro.faults.injectors import (
-    ClockSkewInjector,
-    FaultInjector,
-    GapInjector,
-    ObservationStream,
-    ProbeLossInjector,
-    ProberCrashInjector,
-    RoundDropInjector,
-    RoundDuplicateInjector,
-)
-from repro.faults.oracle import LossyOracle
-from repro.faults.plan import FaultPlan
+import importlib
 
-__all__ = [
-    "CORRUPTION_MATRIX",
-    "ClockSkewInjector",
-    "FaultConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "GapInjector",
-    "InjectedCrash",
-    "LossyOracle",
-    "ObservationStream",
-    "ProbeLossInjector",
-    "ProberCrashInjector",
-    "RoundDropInjector",
-    "RoundDuplicateInjector",
-    "any_armed",
-    "arm",
-    "armed",
-    "corrupt_file",
-    "crashpoint",
-    "disarm",
-    "fired",
-    "flip_bit",
-    "overwrite_range",
-    "truncate_fraction",
-    "truncate_tail",
-    "zero_length",
-]
+# Public name -> submodule.  Names load on first access (PEP 562), so a
+# process that needs only the crash points (every service and shard
+# process, through the journal) does not load the injectors, plans and
+# corruption helpers.
+_SUBMODULE = {
+    "FaultConfig": "config",
+    "CORRUPTION_MATRIX": "corruption",
+    "corrupt_file": "corruption",
+    "flip_bit": "corruption",
+    "overwrite_range": "corruption",
+    "truncate_fraction": "corruption",
+    "truncate_tail": "corruption",
+    "zero_length": "corruption",
+    "InjectedCrash": "crash",
+    "any_armed": "crash",
+    "arm": "crash",
+    "armed": "crash",
+    "crashpoint": "crash",
+    "disarm": "crash",
+    "fired": "crash",
+    "ClockSkewInjector": "injectors",
+    "FaultInjector": "injectors",
+    "GapInjector": "injectors",
+    "ObservationStream": "injectors",
+    "ProbeLossInjector": "injectors",
+    "ProberCrashInjector": "injectors",
+    "RoundDropInjector": "injectors",
+    "RoundDuplicateInjector": "injectors",
+    "LossyOracle": "oracle",
+    "FaultPlan": "plan",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name in _SUBMODULE:
+        module = importlib.import_module(f"{__name__}.{_SUBMODULE[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

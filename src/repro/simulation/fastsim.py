@@ -46,6 +46,15 @@ __all__ = [
 # each worker thread to reuse the same memory from one world to the next.
 _ROW_TILE = 128
 
+# The AR(1) noise recurrence steps round by round over ``_CHUNK_ROUNDS``
+# rounds of round-major scratch at a time, as ``estimate_series`` does.
+# Its per-round numpy calls hold the GIL, so it runs in wider slices of
+# ``_NOISE_TILE`` blocks: 128-row slices cost more in call overhead than
+# they gain, while 256-row ones still let one thread draw the next
+# slice's shocks while another filters (2,000 blocks × 35 days, 2 CPUs).
+_CHUNK_ROUNDS = 64
+_NOISE_TILE = 256
+
 
 def synthesize_availability(
     world: InternetWorld,
@@ -60,14 +69,19 @@ def synthesize_availability(
     minutes, stays high for ``uptime_frac`` of the day, and ramps back
     down.  AR(1) noise models address-level churn.
 
-    Two ``(blocks, rounds)`` buffers carry every step in place, and the
-    lease cosine is evaluated only for blocks with a nonzero
-    ``lease_amp``.  The row math runs in slices of ``_ROW_TILE`` blocks
-    on the row pool (:mod:`repro.core.rowpool`); the normal shocks are
-    one full-size draw on the calling thread between the two passes.
+    The output is the only ``(blocks, rounds)`` buffer, and two passes
+    on the row pool (:mod:`repro.core.rowpool`) work in it in place.
+    The first draws the standard normal shocks straight into it, one
+    ``_NOISE_TILE``-row slice at a time in row order (``map_rows``'
+    ``draw`` hook; the trapezoid draws nothing, so drawing first moves
+    no draw), and runs the AR(1) filter ``y[n] = x[n] + 0.7·y[n−1]``
+    from ``y[−1] = 0`` on each slice, stepped in ``_CHUNK_ROUNDS``-round
+    chunks on round-major scratch (bit for bit the direct-form update
+    of ``scipy.signal.lfilter([1], [1, −0.7])``).  The second computes
+    the trapezoid and lease cosine in ``_ROW_TILE``-row tile buffers and
+    adds them to the noise before the clip.  The lease cosine is
+    evaluated only for blocks with a nonzero ``lease_amp``.
     """
-    from scipy.signal import lfilter
-
     indices = np.asarray(indices, dtype=np.intp)
     day_frac = (times / 86400.0) % 1.0
     onset = world.onset_frac[indices]
@@ -80,12 +94,41 @@ def synthesize_availability(
     lo = world.a_low[indices]
     span = world.a_high[indices] - lo
     lease_amp = world.lease_amp[indices]
-    shape = (len(indices), len(times))
-    a = np.empty(shape)
-    scratch = np.empty(shape)
+    n_blocks, n_rounds = len(indices), len(times)
+    a = np.empty((n_blocks, n_rounds))
 
-    def trapezoid(rows: slice) -> None:
-        x, s = a[rows], scratch[rows]
+    # AR(1) noise, one chain per block.
+    sigma = world.noise_sigma[indices]
+    phi = 0.7
+
+    def draw_shocks(rows: slice) -> np.ndarray:
+        # rng.normal(0.0, 1.0, shape) is 0.0 + 1.0·z over this same
+        # stream of standard normals z.
+        return rng.standard_normal(out=a[rows])
+
+    def filter_noise(rows: slice, noise: np.ndarray) -> None:
+        n = len(noise)
+        y = np.empty((_CHUNK_ROUNDS + 1, n))  # round-major; row 0 carries in
+        y[0] = 0.0
+        carried = np.empty(n)
+        scale = sigma[rows]
+        for r0 in range(0, n_rounds, _CHUNK_ROUNDS):
+            c = min(_CHUNK_ROUNDS, n_rounds - r0)
+            cols = slice(r0, r0 + c)
+            x = y[1 : c + 1]
+            np.copyto(x, noise[:, cols].T)
+            np.multiply(x, scale, out=x)
+            np.multiply(x, 0.55, out=x)  # the shocks
+            for j in range(c):
+                np.multiply(y[j], phi, out=carried)
+                np.add(x[j], carried, out=x[j])
+            noise[:, cols] = x.T
+            y[0] = y[c]
+
+    def add_window(rows: slice) -> None:
+        noise = a[rows]
+        x = np.empty(noise.shape)
+        s = np.empty(noise.shape)
         np.subtract(day_frac[None, :], onset[rows, None], out=x)
         if unit_day:
             np.add(x, x < 0, out=x)
@@ -115,22 +158,11 @@ def synthesize_availability(
             np.multiply(world.lease_amp[sub], lease, out=lease)
             x[leased] += lease
 
-    # AR(1) noise, one chain per block.
-    sigma = world.noise_sigma[indices]
-    phi = 0.7
+        np.add(x, noise, out=noise)
+        np.clip(noise, 0.005, 0.995, out=noise)
 
-    def add_noise(rows: slice) -> None:
-        x, shocks = a[rows], scratch[rows]
-        np.multiply(shocks, sigma[rows, None], out=shocks)
-        np.multiply(shocks, 0.55, out=shocks)
-        np.add(x, lfilter([1.0], [1.0, -phi], shocks, axis=1), out=x)
-        np.clip(x, 0.005, 0.995, out=x)
-
-    map_rows(trapezoid, shape[0], _ROW_TILE)
-    # rng.normal(0.0, 1.0, a.shape) is 0.0 + 1.0·z over this same stream
-    # of standard normals z; draw them straight into the scratch buffer.
-    rng.standard_normal(out=scratch)
-    map_rows(add_noise, shape[0], _ROW_TILE)
+    map_rows(filter_noise, n_blocks, _NOISE_TILE, draw=draw_shocks)
+    map_rows(add_window, n_blocks, _ROW_TILE)
     return a
 
 
@@ -140,6 +172,8 @@ def apply_restart_bias(
     rng: np.random.Generator,
     bias_sigma: float = 0.13,
     decay: tuple = (1.0, 0.7, 0.45, 0.25),
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Perturb availability after each prober restart (Figure 10 artifact).
 
@@ -150,13 +184,27 @@ def apply_restart_bias(
     the 5.5-hour A_12w policy) that dominates the spectrum only of blocks
     whose genuine daily signal is nearly flat, the paper's ~3%.
 
-    Returns a new array and leaves ``availability`` unmodified, except
-    that with no restarts it returns ``availability`` itself.
+    ``restart_rounds`` must be non-negative (ValueError otherwise); rounds
+    past the series end are ignored.  Returns a new array and leaves
+    ``availability`` unmodified, except that with no restarts it returns
+    ``availability`` itself.  With ``out`` (a float64 array of the same
+    shape, which may be ``availability`` itself) the result is written
+    there and ``out`` is returned.
     """
-    if len(restart_rounds) == 0:
-        return availability
+    restart_rounds = np.asarray(restart_rounds)
+    if (restart_rounds < 0).any():
+        raise ValueError(
+            f"restart_rounds must be non-negative, got {restart_rounds.min()}"
+        )
     src = np.asarray(availability)
-    out = np.empty(src.shape)
+    if len(restart_rounds) == 0:
+        if out is None:
+            return availability
+        if out is not src:
+            np.copyto(out, src, casting="unsafe")
+        return out
+    if out is None:
+        out = np.empty(src.shape)
     bias = rng.normal(0.0, bias_sigma, size=(out.shape[0], 1))
     n_rounds = out.shape[1]
     pulses = []
@@ -166,7 +214,8 @@ def apply_restart_bias(
 
     def bias_rows(rows: slice) -> None:
         x = out[rows]
-        np.copyto(x, src[rows], casting="unsafe")
+        if out is not src:
+            np.copyto(x, src[rows], casting="unsafe")
         for rounds, weight in pulses:
             x[:, rounds] += bias[rows] * weight
         np.clip(x, 0.005, 0.995, out=x)
@@ -189,19 +238,22 @@ def adaptive_counts(
     (t = 0), matching the ~5% missing/duplicate rate the cleaning stage
     sees in real data; it must lie in [0, 1].
 
-    Both uniform draws are full-size draws on the calling thread; the
-    walk and the missing-round mask run in row slices on the row pool.
+    The walk and the missing-round mask run in ``_ROW_TILE``-row slices
+    on the row pool, each on its own uniform draw.  The draws are made
+    in row order (``map_rows``' ``draw`` hook), so they equal one
+    full-size draw per pass while only slice-sized buffers are live.
     """
     if not 0.0 <= missing_fraction <= 1.0:
         raise ValueError(f"missing_fraction must be in [0, 1], got {missing_fraction}")
     a = np.asarray(availability, dtype=np.float64)
     n_rows = len(a)
-    probes = rng.random(a.shape)
     totals = np.empty(a.shape, dtype=np.int16)
     positives = np.empty(a.shape, dtype=np.int16)
 
-    def walk(rows: slice) -> None:
-        u = probes[rows]
+    def draw(rows: slice) -> np.ndarray:
+        return rng.random(a[rows].shape)
+
+    def walk(rows: slice, u: np.ndarray) -> None:
         scratch = np.negative(a[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(u, out=u)
@@ -214,15 +266,14 @@ def adaptive_counts(
         np.copyto(totals[rows], scratch, casting="unsafe")
         np.copyto(positives[rows], u <= max_probes)
 
-    def drop_missing(rows: slice) -> None:
-        kept = probes[rows] >= missing_fraction
+    def drop_missing(rows: slice, u: np.ndarray) -> None:
+        kept = u >= missing_fraction
         totals[rows] *= kept
         positives[rows] *= kept
 
-    map_rows(walk, n_rows, _ROW_TILE)
+    map_rows(walk, n_rows, _ROW_TILE, draw=draw)
     if missing_fraction > 0:
-        rng.random(out=probes)
-        map_rows(drop_missing, n_rows, _ROW_TILE)
+        map_rows(drop_missing, n_rows, _ROW_TILE, draw=draw)
     return positives, totals
 
 
@@ -279,11 +330,13 @@ def measure_world(
     """Measure every block of a world through the real estimator+classifier.
 
     Work proceeds in chunks of ``chunk_size`` (at least 1) blocks to
-    bound memory; each (chunk, n_rounds) array is dropped as soon as the
-    next stage has what it needs.  Each layer spreads its chunk's rows
-    over the row pool; the random draws stay on the calling thread.  The
-    classifier reads only Â_s, so the estimator runs ``short_only`` and
-    allocates no Â_l, deviation or Â_o series.
+    bound memory, and only one (chunk, n_rounds) float64 array is live
+    at a time: the restart bias is applied in place to the synthesized
+    availability once its mean is read, the count draws are made per
+    row tile, and the classifier reads only Â_s, so the estimator runs
+    ``short_only`` and allocates no Â_l, deviation or Â_o series.  Each
+    layer spreads its chunk's rows over the row pool, with every random
+    draw made in row order.
 
     Estimator state is seeded per block from the block's true long-run
     availability plus Gaussian ``history_error`` — the deployment's
@@ -306,23 +359,23 @@ def measure_world(
     amplitude = np.zeros(n)
     mean_avail = np.zeros(n)
 
+    designed = designed_mean_availability(world)
     children = np.random.SeedSequence(seed).spawn(
         (n + chunk_size - 1) // chunk_size
     )
     for chunk_no, start in enumerate(range(0, n, chunk_size)):
         idx = np.arange(start, min(start + chunk_size, n))
         rng = np.random.default_rng(children[chunk_no])
-        a_true = synthesize_availability(world, idx, times, rng)
-        mean_avail[idx] = a_true.mean(axis=1)
-        a_probed = apply_restart_bias(a_true, restarts, rng)
-        del a_true
+        a = synthesize_availability(world, idx, times, rng)
+        mean_avail[idx] = a.mean(axis=1)
+        # The true availability is not read again: bias it in place.
+        a = apply_restart_bias(a, restarts, rng, out=a)
         positives, totals = adaptive_counts(
-            a_probed, rng, missing_fraction=missing_fraction
+            a, rng, missing_fraction=missing_fraction
         )
-        del a_probed
+        del a
         a_init = np.clip(
-            designed_mean_availability(world)[idx]
-            + rng.normal(0.0, history_error, len(idx)),
+            designed[idx] + rng.normal(0.0, history_error, len(idx)),
             0.02,
             0.99,
         )
@@ -334,6 +387,7 @@ def measure_world(
             initial_availability=a_init,
             short_only=True,
         ).a_short
+        del positives, totals
         batch = classify_many(a_short[:, trim], schedule.round_s, classifier)
         labels[idx] = batch.labels
         phases[idx] = batch.phases

@@ -216,6 +216,33 @@ def test_synthesis_handles_onsets_outside_the_unit_day(world, schedule):
     assert_bitwise_equal(a, expected, "availability")
 
 
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n_rounds", [0, 1, 63, 64, 65, 129])
+def test_synthesis_matches_reference_across_round_chunks(world, schedule, n_rounds, split):
+    # The AR(1) filter steps 64 rounds at a time; the series may end
+    # before, on or just past a chunk edge.
+    times, indices = schedule.times()[:n_rounds], np.arange(30, 60)
+    assert (world.lease_amp[indices] > 0).any()
+    with forced_split() if split else single_slice():
+        a = synthesize_availability(world, indices, times, np.random.default_rng(8))
+    expected = reference_synthesize_availability(
+        world, indices, times, np.random.default_rng(8)
+    )
+    assert_bitwise_equal(a, expected, "availability")
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_counts_match_reference_for_1d_input_and_other_generators(split):
+    # Per-tile draws take the stream in order for any bit generator.
+    a = np.random.default_rng(3).random(1000)
+    for make in (np.random.PCG64, np.random.MT19937, np.random.Philox):
+        with forced_split(tile=7) if split else single_slice():
+            counts = adaptive_counts(a, np.random.Generator(make(5)))
+        expected = reference_adaptive_counts(a, np.random.Generator(make(5)))
+        assert_bitwise_equal(counts[0], expected[0], "positives")
+        assert_bitwise_equal(counts[1], expected[1], "totals")
+
+
 def test_restart_bias_without_restarts_returns_input(world, schedule):
     a = synthesize_availability(
         world, np.arange(10), schedule.times(), np.random.default_rng(1)

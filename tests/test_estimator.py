@@ -289,6 +289,13 @@ class TestVectorized:
         ints = estimate_series([1, 0, 1, 1], [1, 1, 1, 1], cfg, restart_rounds=[2])
         assert whole.a_short.tobytes() == ints.a_short.tobytes()
 
+    @pytest.mark.parametrize("reset_short", [False, True])
+    def test_rejects_negative_restart_rounds(self, reset_short):
+        # A negative round is no round of the series; it must not pass silently.
+        cfg = EstimatorConfig(restart=RestartPolicy(reset_short=reset_short))
+        with pytest.raises(ValueError, match="restart_rounds must be non-negative"):
+            estimate_series([1, 1, 1, 1], [1, 1, 1, 1], cfg, restart_rounds=[2, -2])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_series(np.zeros((2, 3)), np.zeros((2, 4)))
@@ -425,7 +432,7 @@ def kernel_cases(draw):
         positives[idle] = np.nan
         totals[idle & (rng.random(totals.shape) < 0.5)] = -np.inf
         positives[~idle & (rng.random(totals.shape) < 0.02)] = np.nan
-    edges = [0, n_rounds - 1, CHUNK - 1, CHUNK, 2 * CHUNK, n_rounds, -1]
+    edges = [0, max(n_rounds - 1, 0), CHUNK - 1, CHUNK, 2 * CHUNK, n_rounds]
     restarts = draw(
         st.lists(
             st.one_of(st.sampled_from(edges), st.integers(0, max(n_rounds - 1, 0))),

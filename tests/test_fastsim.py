@@ -1,9 +1,12 @@
 """Tests for the vectorized scale path, including its fidelity to the
 address-level prober it summarizes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import rowpool
 from repro.net import Block24, make_always_on, make_dead, merge_behaviors
 from repro.probing import AdaptiveProber, RoundSchedule
 from repro.probing.prober import FixedAvailability
@@ -15,6 +18,7 @@ from repro.simulation.fastsim import (
     measure_world,
     synthesize_availability,
 )
+from repro.simulation.scenarios import SCENARIO_SCHEDULES
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +146,24 @@ class TestRestartBias:
         out = apply_restart_bias(a, np.array([10, 40, 70]), np.random.default_rng(3))
         assert (out > 0).all() and (out < 1).all()
 
+    def test_rejects_negative_restart_rounds(self):
+        # A negative index would wrap and bias the last rounds too.
+        a = np.full((3, 100), 0.5)
+        with pytest.raises(ValueError, match="restart_rounds must be non-negative"):
+            apply_restart_bias(a, np.array([10, -2]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("restarts", [[], [0, 30, 98]])
+    def test_out_writes_in_place(self, restarts):
+        a = np.random.default_rng(4).random((5, 100))
+        restarts = np.array(restarts, dtype=np.int64)
+        expected = apply_restart_bias(a.copy(), restarts, np.random.default_rng(5))
+        assert apply_restart_bias(a, restarts, np.random.default_rng(5), out=a) is a
+        assert a.tobytes() == expected.tobytes()
+        out = np.empty_like(a)
+        src = a.copy()
+        assert apply_restart_bias(src, restarts, np.random.default_rng(5), out=out) is out
+        assert src.tobytes() == a.tobytes()
+
 
 class TestMeasureWorld:
     def test_global_fractions_match_paper_shape(self, world):
@@ -176,6 +198,26 @@ class TestMeasureWorld:
         world = generate_world(WorldConfig(n_blocks=50, seed=1))
         with pytest.raises(ValueError, match="chunk_size"):
             measure_world(world, RoundSchedule.for_days(2), chunk_size=chunk_size)
+
+    def test_one_chunk_keeps_about_one_full_size_array(self, monkeypatch):
+        # Synthesis, restart bias and count draws share one (chunk,
+        # rounds) float64 buffer; a second full-size array (a biased
+        # copy, a full-size draw) would put the peak near 2.8x.
+        monkeypatch.setattr(rowpool, "_workers", 2)
+        a12w = SCENARIO_SCHEDULES["A12W"]
+        schedule = RoundSchedule.for_days(
+            14, start_s=a12w["start_s"], restart_interval_s=a12w["restart_interval_s"]
+        )
+        world = generate_world(WorldConfig(n_blocks=1024, seed=4))
+        measure_world(generate_world(WorldConfig(n_blocks=8, seed=1)), schedule)
+        full_size = world.n_blocks * len(schedule.times()) * 8
+        tracemalloc.start()
+        try:
+            measure_world(world, schedule, chunk_size=world.n_blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * full_size
 
     def test_chunking_invariant(self, world):
         """Chunk size must not change results (same per-chunk seeds only

@@ -53,6 +53,53 @@ def test_serving_entry_point_loads_no_scipy_or_offline_layers():
     assert offending == []
 
 
+def test_serving_entry_point_loads_only_the_crash_points_of_faults():
+    # The journal and shard import crash points; the injectors, plans
+    # and corruption helpers are for offline chaos runs.
+    loaded = loaded_after("import repro.serve.__main__")
+    faults = sorted(m for m in loaded if m.split(".")[:2] == ["repro", "faults"])
+    assert faults == ["repro.faults", "repro.faults.crash"]
+
+
+def test_batch_study_loads_no_scipy():
+    # The batch pipeline (synthesis, counts, estimator, classifier) is
+    # numpy only; SciPy belongs to the offline statistics.
+    loaded = loaded_after(
+        "from repro.probing import RoundSchedule\n"
+        "from repro.simulation import WorldConfig, generate_world\n"
+        "from repro.simulation.fastsim import measure_world\n"
+        "world = generate_world(WorldConfig(n_blocks=8, seed=1))\n"
+        "measure_world(world, RoundSchedule.for_days(2))"
+    )
+    assert "repro.simulation.fastsim" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+def test_fault_names_load_on_first_access():
+    surface = run_fresh(
+        "import json, sys\n"
+        "import repro.faults\n"
+        "before = sorted(m for m in sys.modules if m.startswith('repro.faults.'))\n"
+        "from repro.faults import FaultPlan, arm, CORRUPTION_MATRIX\n"
+        "star = {}\n"
+        "exec('from repro.faults import *', star)\n"
+        "print(json.dumps({\n"
+        "    'before': before,\n"
+        "    'modules': [FaultPlan.__module__, arm.__module__],\n"
+        "    'star': sorted(k for k in star if k != '__builtins__'),\n"
+        "    'all': repro.faults.__all__,\n"
+        "}))"
+    )
+    assert surface["before"] == []
+    assert surface["modules"] == ["repro.faults.plan", "repro.faults.crash"]
+    assert surface["star"] == sorted(surface["all"])
+    assert len(surface["all"]) == 25
+    import repro.faults as faults
+
+    with pytest.raises(AttributeError, match="no_such_fault"):
+        faults.no_such_fault
+
+
 def test_bare_import_loads_no_subpackage():
     loaded = loaded_after("import repro")
     assert sorted(m for m in loaded if m.startswith("repro.")) == []

@@ -26,6 +26,7 @@ def forced_split(workers=3, tile=2):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rowpool, "_workers", workers)
         patch.setattr(fastsim, "_ROW_TILE", tile)
+        patch.setattr(fastsim, "_NOISE_TILE", tile)
         patch.setattr(classify, "_CLASSIFY_TILE", tile)
         patch.setattr(estimator, "_MIN_SLICE_ROWS", 1)
         yield
@@ -135,6 +136,53 @@ def test_nested_call_from_a_pool_thread_completes():
     with forced_split(workers=2):
         map_rows(outer, 4, 1)
     assert sorted(seen) == sorted(list(range(4)) * 4)
+
+
+@pytest.mark.watchdog(60)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_draws_are_made_in_tile_order(workers):
+    drawn = []
+    received = {}
+    state = iter(range(10_000))
+
+    def draw(rows):
+        drawn.append(rows.start)
+        time.sleep(0.0005)  # let another thread reach the lock
+        return next(state)
+
+    def fn(rows, value):
+        received[rows.start] = value
+        time.sleep(0.001)
+
+    with forced_split(workers=workers):
+        map_rows(fn, 40, 3, draw=draw)
+    starts = list(range(0, 40, 3))
+    assert drawn == starts
+    # Each tile got the value drawn for it, in tile order.
+    assert [received[start] for start in starts] == list(range(len(starts)))
+
+
+@pytest.mark.watchdog(60)
+@pytest.mark.parametrize("failing", ["draw", "fn"])
+def test_a_failing_tile_does_not_hang_the_draws_after_it(failing):
+    finished = []
+
+    def draw(rows):
+        if failing == "draw" and rows.start == 6:
+            raise KeyError(rows.start)
+        return rows.start
+
+    def fn(rows, value):
+        if failing == "fn" and rows.start == 6:
+            raise KeyError(rows.start)
+        time.sleep(0.001)
+        finished.append(value)
+
+    with forced_split(), pytest.raises(KeyError, match="6"):
+        map_rows(fn, 60, 2, draw=draw)
+    assert 6 not in finished
+    # Every tile before the failing one ran.
+    assert set(range(0, 6, 2)) <= set(finished)
 
 
 def _measure_in_child(world, schedule, send):
